@@ -71,9 +71,7 @@ class ExperimentConfig:
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 current = getattr(cfg, key)
-                if isinstance(current, bool):
-                    setattr(cfg, key, value.lower() in ("1", "true", "yes"))
-                elif isinstance(current, int):
+                if isinstance(current, int):
                     setattr(cfg, key, int(value))
                 elif isinstance(current, float):
                     setattr(cfg, key, float(value))

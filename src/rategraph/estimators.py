@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy import sparse
@@ -57,6 +57,9 @@ _RELAX_RESIDUAL = 1e-10
 _RELAX_SWEEP_FACTOR = 100
 # line search never halves more than this many times per step
 _MAX_BACKTRACKS = 60
+# line-search trials screened together; most steps are accepted within the
+# first few halvings, so one batch usually decides a step
+_SCREEN_CHUNK = 8
 # continuation starts smoothing at one rating unit and divides by 10 per stage
 _EPS_START = 1.0
 
@@ -321,6 +324,14 @@ def _phi_grad(s: np.ndarray, p: float, eps: float) -> np.ndarray:
     return p * s * (s * s + eps * eps) ** (0.5 * p - 1.0)
 
 
+def _smoothed_sum(
+    p_mat: sparse.csr_matrix, vec: np.ndarray, rows: np.ndarray, p: float, eps: float
+) -> tuple[np.ndarray, float]:
+    """Second derivative s = P vec - vec and the smoothed sum of phi(s) over ``rows``."""
+    s = p_mat @ vec - vec
+    return s, float(_phi(s[rows], p, eps).sum())
+
+
 def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) -> float:
     """Smoothed l_p norm of the second derivative of a complete vector.
 
@@ -329,9 +340,19 @@ def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) ->
     and only reports this norm.
     """
     config.validate()
-    f = second_derivative(graph, values, config.source_tolerance)
-    s = f.values[f.defined]
-    total = float(np.sum(_phi(s, config.p, config.smoothing_eps)))
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (graph.item_count,):
+        raise ValueError("values must have one entry per item")
+    defined = graph.degree > 0
+    if not np.all(np.isfinite(values[defined])):
+        raise ValueError("values contain non-finite entries on connected items")
+    _, total = _smoothed_sum(
+        graph.random_walk_matrix(),
+        np.where(defined, values, 0.0),
+        np.flatnonzero(defined),
+        config.p,
+        config.smoothing_eps,
+    )
     return total ** (1.0 / config.p)
 
 
@@ -373,10 +394,43 @@ def _eps_schedule(eps_final: float) -> list[float]:
     return out
 
 
+def _screened_trials(
+    x_free: np.ndarray,
+    g: np.ndarray,
+    s_rows: np.ndarray,
+    m_rows: np.ndarray,
+    obj: float,
+    ladder: np.ndarray,
+    bounds: tuple[float, float],
+    p: float,
+    eps: float,
+) -> Iterator[np.ndarray]:
+    """Free coordinates of the line-search trials worth an exact evaluation.
+
+    Trials come in ladder order, the order halving one step at a time tries
+    them. A trial that leaves the box is yielded clamped; an unclipped one is
+    yielded only when its screen, the linear model s - t * (P d - d) of its
+    second derivative, lowers the smoothed sum below ``obj``. The screen is
+    computed for ``_SCREEN_CHUNK`` step lengths at once; each row sum equals
+    the sum over that one trial bit for bit.
+    """
+    c_l, c_h = bounds
+    for start in range(0, ladder.shape[0], _SCREEN_CHUNK):
+        chunk = ladder[start:start + _SCREEN_CHUNK]
+        raw = x_free - chunk * g
+        clipped = (raw.min(axis=1) < c_l) | (raw.max(axis=1) > c_h)
+        screen = _phi(s_rows - chunk * m_rows, p, eps).sum(axis=1)
+        for k in range(chunk.shape[0]):
+            if clipped[k]:
+                yield raw[k].clip(c_l, c_h)
+            elif screen[k] < obj:
+                yield raw[k]
+
+
 def _pgd_stage(
     x: np.ndarray,
     free_idx: np.ndarray,
-    row_mask: np.ndarray,
+    rows: np.ndarray,
     p_mat: sparse.csr_matrix,
     pt_mat: sparse.csr_matrix,
     config: SolverConfig,
@@ -390,74 +444,69 @@ def _pgd_stage(
     search (halving from ``initial_step`` until the objective decreases) and
     clamps the free coordinates to the rating bounds. Stops when the relative
     objective decrease falls under ``rel_tol``, when no step length decreases
-    the objective, or when the iteration budget runs out. The objective is
-    non-increasing across accepted steps by construction.
+    the objective, or when the iteration budget runs out; ``converged`` is
+    False only in the last case. The objective is non-increasing across
+    accepted steps by construction. ``rows`` indexes the items whose second
+    derivative enters the objective.
 
-    The second derivative is linear in R, so unclipped trial steps reuse one
-    matvec per direction: s(t) = s - t * (P d - d). An accepted step is
-    recomputed exactly before it replaces the state.
+    The second derivative is linear in R, so unclipped trial steps are first
+    screened on one matvec per direction (see :func:`_screened_trials`), a
+    batch of step lengths at a time; the first screened trial whose exact
+    objective decreases is accepted. The step ladder is built by repeated
+    multiplication, exactly as halving one step at a time builds it.
+
+    A free coordinate that sits on a bound with its gradient pointing out of
+    the box would be clamped back onto that bound at every step length, so
+    it is dropped from the direction. The trial vectors stay the same, but a
+    trial that only such a coordinate would have clipped is now screened
+    instead of evaluated exactly. Screen and exact sum differ by rounding
+    only, so that can change a decision only for a trial whose objective
+    change is itself at rounding level.
     """
     c_l, c_h = config.bounds
     p = config.p
-    n = x.size
+    steps = [config.initial_step]
+    for _ in range(_MAX_BACKTRACKS - 1):
+        steps.append(steps[-1] * config.backtrack_factor)
+    ladder = np.array(steps, dtype=np.float64)[:, None]
 
-    def smoothed_sum(vec: np.ndarray) -> tuple[np.ndarray, float]:
-        s = p_mat @ vec - vec
-        return s, float(np.sum(_phi(s[row_mask], p, eps)))
-
-    s, obj = smoothed_sum(x)
+    s, obj = _smoothed_sum(p_mat, x, rows, p, eps)
+    u = np.zeros(x.size)
+    delta = np.zeros(x.size)
     iters = 0
-    converged = False
     while iters < budget:
         iters += 1
-        u = np.zeros(n)
-        u[row_mask] = _phi_grad(s[row_mask], p, eps)
+        u[rows] = _phi_grad(s[rows], p, eps)
         g = (pt_mat @ u - u)[free_idx]
-        if not np.any(g):
-            converged = True
-            break
-        delta = np.zeros(n)
+        if not g.any():
+            return x, iters, True
+        x_free = x[free_idx]
+        # pinned on a bound and pushed outward: clamping undoes any step
+        g[((x_free == c_l) & (g > 0)) | ((x_free == c_h) & (g < 0))] = 0.0
         delta[free_idx] = g
         m_delta = p_mat @ delta - delta
-        step = config.initial_step
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            raw = x[free_idx] - step * g
-            cand_free = np.clip(raw, c_l, c_h)
-            clipped = not np.array_equal(raw, cand_free)
-            if clipped:
-                cand = x.copy()
-                cand[free_idx] = cand_free
-                s_cand, obj_cand = smoothed_sum(cand)
-            else:
-                s_cand = s - step * m_delta
-                obj_cand = float(np.sum(_phi(s_cand[row_mask], p, eps)))
+        trials = _screened_trials(
+            x_free, g, s[rows], m_delta[rows], obj, ladder, config.bounds, p, eps
+        )
+        for cand_free in trials:
+            cand = x.copy()
+            cand[free_idx] = cand_free
+            s_cand, obj_cand = _smoothed_sum(p_mat, cand, rows, p, eps)
             if obj_cand < obj:
-                if not clipped:
-                    cand = x.copy()
-                    cand[free_idx] = cand_free
-                    s_cand, obj_cand = smoothed_sum(cand)
-                    if not obj_cand < obj:
-                        step *= config.backtrack_factor
-                        continue
-                accepted = True
                 break
-            step *= config.backtrack_factor
-        if not accepted:
-            converged = True
-            break
+        else:
+            return x, iters, True
         drop = obj - obj_cand
         x, s, obj = cand, s_cand, obj_cand
         if drop < rel_tol * max(abs(obj), 1e-300):
-            converged = True
-            break
-    return x, iters, converged
+            return x, iters, True
+    return x, iters, False
 
 
 def _recover(
     warm: np.ndarray,
     free_idx: np.ndarray,
-    row_mask: np.ndarray,
+    rows: np.ndarray,
     graph: ItemGraph,
     config: SolverConfig,
 ) -> tuple[np.ndarray, int, bool]:
@@ -468,6 +517,8 @@ def _recover(
     all-flat harmonic warm start cannot be escaped by descent. Annealing the
     smoothing keeps early stages soft enough for the gradient to reshape the
     solution and late stages sharp enough to pin the sources.
+
+    Reports convergence only if every stage converged within its budget.
     """
     p_mat = graph.random_walk_matrix()
     pt_mat = graph.random_walk_matrix_t()
@@ -481,11 +532,12 @@ def _recover(
             converged = False
             break
         budget = max(1, remaining // (len(stages) - si))
-        x, iters, converged = _pgd_stage(
-            x, free_idx, row_mask, p_mat, pt_mat, config, eps, budget,
+        x, iters, stage_converged = _pgd_stage(
+            x, free_idx, rows, p_mat, pt_mat, config, eps, budget,
             config.objective_rel_tol,
         )
         used += iters
+        converged = converged and stage_converged
     return x, used, converged
 
 
@@ -512,11 +564,12 @@ def predict_sfr(
     obs_mask[obs_idx] = True
     free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
     row_mask = solved & (graph.degree > 0)
+    rows = np.flatnonzero(row_mask)
     warm = np.where(solved, warm_nan, 0.0)
+    p_mat = graph.random_walk_matrix()
 
     def final_objective(vec: np.ndarray) -> float:
-        s = graph.random_walk_matrix() @ vec - vec
-        return float(np.sum(_phi(s[row_mask], config.p, config.smoothing_eps)))
+        return _smoothed_sum(p_mat, vec, rows, config.p, config.smoothing_eps)[1]
 
     best = warm
     best_obj = final_objective(warm)
@@ -536,7 +589,7 @@ def predict_sfr(
                 )
                 starts.append(perturbed)
         for start in starts:
-            x, used, conv = _recover(start, free_idx, row_mask, graph, config)
+            x, used, conv = _recover(start, free_idx, rows, graph, config)
             obj = final_objective(x)
             if obj < best_obj:
                 best, best_obj, iterations, converged = x, obj, used, conv

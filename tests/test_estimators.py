@@ -5,6 +5,7 @@ from rategraph import (
     OracleResult,
     SolverConfig,
     l0_oracle,
+    ladder_toy_26,
     predict_hcp,
     predict_knn,
     predict_sfr,
@@ -12,6 +13,7 @@ from rategraph import (
     sfr_gradient,
     sfr_objective,
 )
+from rategraph import estimators
 from tests.conftest import random_connected_graph, random_observed
 
 
@@ -318,6 +320,29 @@ class TestPredictSfr:
         with pytest.raises(ValueError, match="outside"):
             predict_sfr(square.graph, {"A": 9.0, "C": 3.0}, {"B"}, cfg)
 
+    def test_exhausted_budget_reported_as_not_converged(self, ladder):
+        cfg = SolverConfig(bounds=ladder.bounds, max_iterations=7)
+        rec = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), cfg)
+        assert rec.diagnostics.iterations_used == 7
+        assert not rec.diagnostics.converged
+
+    def test_converged_requires_every_stage(self, ladder, monkeypatch):
+        # only the first smoothing stage fails; the last one converging must
+        # not mask it
+        real = estimators._pgd_stage
+        flags = []
+
+        def first_stage_fails(*args):
+            x, iters, converged = real(*args)
+            flags.append(converged and len(flags) > 0)
+            return x, iters, flags[-1]
+
+        monkeypatch.setattr(estimators, "_pgd_stage", first_stage_fails)
+        cfg = SolverConfig(bounds=ladder.bounds)
+        rec = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), cfg)
+        assert len(flags) > 1 and flags[-1]
+        assert not rec.diagnostics.converged
+
     def test_multi_start_is_deterministic(self, square):
         cfg = SolverConfig(bounds=square.bounds, multi_start=3, multi_start_seed=5)
         a = predict_sfr(square.graph, square.observed, {"B", "D"}, cfg)
@@ -332,6 +357,112 @@ class TestPredictSfr:
         assert many.diagnostics.final_objective <= one.diagnostics.final_objective + 1e-9
         for name, truth in ladder.ground_truth.items():
             assert many.estimates[name] == pytest.approx(truth, abs=1e-2)
+
+
+def _reference_pgd_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, rel_tol):
+    """One-trial-at-a-time projected gradient descent, kept as the reference.
+
+    Every trial clips the full gradient step, evaluates a clipped trial
+    exactly and an unclipped one first on the linear model of the second
+    derivative; the solver must take exactly the same steps.
+    """
+    c_l, c_h = config.bounds
+    p = config.p
+    n = x.size
+
+    def smoothed_sum(vec):
+        s = p_mat @ vec - vec
+        return s, float(np.sum(estimators._phi(s[rows], p, eps)))
+
+    s, obj = smoothed_sum(x)
+    iters = 0
+    converged = False
+    while iters < budget:
+        iters += 1
+        u = np.zeros(n)
+        u[rows] = estimators._phi_grad(s[rows], p, eps)
+        g = (pt_mat @ u - u)[free_idx]
+        if not np.any(g):
+            converged = True
+            break
+        delta = np.zeros(n)
+        delta[free_idx] = g
+        m_delta = p_mat @ delta - delta
+        step = config.initial_step
+        accepted = False
+        for _ in range(estimators._MAX_BACKTRACKS):
+            raw = x[free_idx] - step * g
+            cand_free = np.clip(raw, c_l, c_h)
+            clipped = not np.array_equal(raw, cand_free)
+            if clipped:
+                cand = x.copy()
+                cand[free_idx] = cand_free
+                s_cand, obj_cand = smoothed_sum(cand)
+            else:
+                s_cand = s - step * m_delta
+                obj_cand = float(np.sum(estimators._phi(s_cand[rows], p, eps)))
+            if obj_cand < obj:
+                if not clipped:
+                    cand = x.copy()
+                    cand[free_idx] = cand_free
+                    s_cand, obj_cand = smoothed_sum(cand)
+                    if not obj_cand < obj:
+                        step *= config.backtrack_factor
+                        continue
+                accepted = True
+                break
+            step *= config.backtrack_factor
+        if not accepted:
+            converged = True
+            break
+        drop = obj - obj_cand
+        x, s, obj = cand, s_cand, obj_cand
+        if drop < rel_tol * max(abs(obj), 1e-300):
+            converged = True
+            break
+    return x, iters, converged
+
+
+def _bit_identity_cases():
+    """Criterion-6-style random graphs, the ladder, and one non-default step rule."""
+    cases = []
+    for seed in range(200):
+        rng = np.random.default_rng(40_000 + seed)
+        g = random_connected_graph(rng, int(rng.integers(3, 16)))
+        cases.append((g, random_observed(rng, g), SolverConfig(bounds=(1, 5))))
+    fix = ladder_toy_26()
+    cases.append((fix.graph, fix.observed, SolverConfig(bounds=fix.bounds)))
+    odd = SolverConfig(bounds=fix.bounds, initial_step=0.37, backtrack_factor=0.3)
+    cases.append((fix.graph, fix.observed, odd))
+    for seed in range(10):
+        rng = np.random.default_rng(41_000 + seed)
+        g = random_connected_graph(rng, int(rng.integers(3, 16)))
+        odd = SolverConfig(bounds=(1, 5), initial_step=0.37, backtrack_factor=0.3)
+        cases.append((g, random_observed(rng, g), odd))
+    return cases
+
+
+class TestPgdStageBitIdentity:
+    def test_matches_one_trial_at_a_time_reference(self, monkeypatch):
+        cases = _bit_identity_cases()
+        fast = [predict_sfr(g, obs, set(g.items), cfg) for g, obs, cfg in cases]
+        on_bound = 0
+
+        def counting_reference(x, free_idx, *args):
+            nonlocal on_bound
+            c_l, c_h = args[3].bounds
+            on_bound += int(np.sum((x[free_idx] == c_l) | (x[free_idx] == c_h)))
+            return _reference_pgd_stage(x, free_idx, *args)
+
+        monkeypatch.setattr(estimators, "_pgd_stage", counting_reference)
+        for (g, obs, cfg), got in zip(cases, fast):
+            ref = predict_sfr(g, obs, set(g.items), cfg)
+            assert got.estimates == ref.estimates
+            assert got.abstentions == ref.abstentions
+            assert got.diagnostics == ref.diagnostics
+        # the pinned-coordinate path must actually be exercised: some stage
+        # starts with a free coordinate already on a bound
+        assert on_bound > 0
 
 
 class TestSolverConfig:

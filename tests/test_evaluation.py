@@ -95,16 +95,23 @@ class TestClassifyBound:
         assert forward == backward[::-1]
 
 
-def _toy_ladder_split():
+def _toy_ladder_split(mirrored_user=False):
+    """The ladder fixture as one user's split; optionally a second user who
+    rates every item 10 - r, so that there is more than one task."""
     fix = ladder_toy_26()
     train = RatingMatrix(fix.bounds)
-    for item, rating in fix.observed.items():
-        train.add("u1", item, rating)
-    test = [
-        RatingRecord("u1", item, rating)
-        for item, rating in fix.ground_truth.items()
-        if item not in fix.observed
-    ]
+    test = []
+    users = [("u1", lambda r: r)]
+    if mirrored_user:
+        users.append(("u2", lambda r: 10.0 - r))
+    for user, rate in users:
+        for item, rating in fix.observed.items():
+            train.add(user, item, rate(rating))
+        test += [
+            RatingRecord(user, item, rate(rating))
+            for item, rating in fix.ground_truth.items()
+            if item not in fix.observed
+        ]
     return Split(train=train, test=test, fraction=0.8, seed=0), fix
 
 
@@ -223,12 +230,28 @@ class TestEvaluate:
         assert report.n_unknown_items == 1
         assert report.n_classified == 0
 
-    def test_report_identical_across_jobs(self):
-        split, fix = _toy_ladder_split()
+    def test_report_identical_across_jobs(self, monkeypatch):
+        split, fix = _toy_ladder_split(mirrored_user=True)
         cfg = SolverConfig(bounds=fix.bounds)
         serial = evaluate(["knn", "hcp", "sfr"], split, fix.graph, cfg, jobs=1)
+        pools = []
+
+        def recording_pool(*args, **kwargs):
+            pools.append(kwargs.get("max_workers"))
+            return ProcessPoolExecutor(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", recording_pool)
         parallel = evaluate(["knn", "hcp", "sfr"], split, fix.graph, cfg, jobs=2)
+        assert pools == [2], "jobs=2 must fan the two users out over a pool"
         assert serial.to_json() == parallel.to_json()
+
+    def test_budget_exhaustion_lowers_converged_fraction(self):
+        split, fix = _toy_ladder_split(mirrored_user=True)
+        cfg = SolverConfig(bounds=fix.bounds, max_iterations=7)
+        stats = evaluate(["sfr"], split, fix.graph, cfg).solver_stats["sfr"]
+        assert stats["users_solved"] == 2.0
+        assert stats["mean_iterations"] == 7.0
+        assert stats["converged_fraction"] < 1.0
 
     def test_rmse_tsv_shape(self):
         split, fix = _toy_ladder_split()
