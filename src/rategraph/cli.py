@@ -40,14 +40,15 @@ class ExperimentConfig:
     min_support: int = 3
     fraction: float = 0.8
     seed: int = 0
-    p: float = 0.5
-    smoothing_eps: float = 1e-6
-    max_iterations: int = 10_000
-    objective_rel_tol: float = 1e-8
-    initial_step: float = 0.1
-    backtrack_factor: float = 0.5
-    source_tolerance: float = 1e-3
-    multi_start: int = 1
+    # solver settings, with SolverConfig's defaults
+    p: float = SolverConfig.p
+    smoothing_eps: float = SolverConfig.smoothing_eps
+    max_iterations: int = SolverConfig.max_iterations
+    objective_rel_tol: float = SolverConfig.objective_rel_tol
+    initial_step: float = SolverConfig.initial_step
+    backtrack_factor: float = SolverConfig.backtrack_factor
+    source_tolerance: float = SolverConfig.source_tolerance
+    multi_start: int = SolverConfig.multi_start
     methods: str = "knn,hcp,sfr"
     output_dir: str = "out"
     jobs: int = 1
@@ -85,17 +86,9 @@ class ExperimentConfig:
                 fh.write(f"{f.name}={getattr(self, f.name)}\n")
 
     def solver_config(self) -> SolverConfig:
-        return SolverConfig(
-            bounds=(self.c_low, self.c_high),
-            p=self.p,
-            smoothing_eps=self.smoothing_eps,
-            max_iterations=self.max_iterations,
-            objective_rel_tol=self.objective_rel_tol,
-            initial_step=self.initial_step,
-            backtrack_factor=self.backtrack_factor,
-            source_tolerance=self.source_tolerance,
-            multi_start=self.multi_start,
-        )
+        own = {f.name for f in fields(self)}
+        shared = {f.name: getattr(self, f.name) for f in fields(SolverConfig) if f.name in own}
+        return SolverConfig(bounds=(self.c_low, self.c_high), **shared)
 
     def method_list(self) -> list[str]:
         return [m.strip() for m in self.methods.split(",") if m.strip()]

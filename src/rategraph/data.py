@@ -68,9 +68,8 @@ class RatingMatrix:
         self._i: list[int] = []
         self._r: list[float] = []
         self._seen: set[tuple[int, int]] = set()
-        # lazy per-user / per-item views
+        # lazy per-user view
         self._by_user: Optional[list[dict[int, float]]] = None
-        self._by_item: Optional[list[dict[int, float]]] = None
 
     # -- construction ----------------------------------------------------------
 
@@ -103,7 +102,6 @@ class RatingMatrix:
         self._i.append(i)
         self._r.append(float(rating))
         self._by_user = None
-        self._by_item = None
 
     # -- accessors ---------------------------------------------------------------
 
@@ -141,19 +139,6 @@ class RatingMatrix:
                 by_user[u][i] = r
             self._by_user = by_user
         return self._by_user[user_idx]
-
-    def item_ratings(self, item_idx: int) -> dict[int, float]:
-        """User-index -> rating map for one item."""
-        if self._by_item is None:
-            by_item: list[dict[int, float]] = [dict() for _ in range(self.n_items)]
-            for u, i, r in zip(self._u, self._i, self._r):
-                by_item[i][u] = r
-            self._by_item = by_item
-        return self._by_item[item_idx]
-
-    def item_ratings_by_name(self, item_id: str) -> dict[str, float]:
-        idx = self.item_index[item_id]
-        return {self.users[u]: r for u, r in self.item_ratings(idx).items()}
 
     def user_item_matrix(self) -> sparse.csr_matrix:
         u, i, r = self.arrays()

@@ -29,7 +29,6 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import linalg as spla
 
 from .graph import ItemGraph, second_derivative
 
@@ -51,10 +50,9 @@ __all__ = [
 
 METHODS = ("knn", "hcp", "sfr", "l0_oracle")
 
-# harmonic solve internals
-_DIRECT_SOLVE_LIMIT = 4096
-_RELAX_RESIDUAL = 1e-10
-_RELAX_SWEEP_FACTOR = 100
+# the harmonic CG solve stops once every free second derivative is this
+# fraction of the largest observed rating magnitude
+_CG_REL_TOL = 1e-12
 # line search never halves more than this many times per step
 _MAX_BACKTRACKS = 60
 # line-search trials screened together; most steps are accepted within the
@@ -200,11 +198,15 @@ def _harmonic_extend(
 
     Returns (values, solved): NaN outside the solved set, which is the
     observed items plus every positive-degree item whose component contains
-    at least one observation. Small systems are solved directly (sparse LU);
-    larger ones by Jacobi relaxation, i.e. repeatedly replacing each free
-    value with its weighted neighbor average, which converges because the
-    restricted averaging matrix is substochastic on components touching an
-    observation. Non-convergence raises :class:`ConvergenceError`.
+    at least one observation. The free values solve the symmetric positive
+    definite system (D - W) x = W x_O restricted to that free set, by
+    conjugate gradients with the degrees as Jacobi preconditioner. The
+    iteration runs on full-length vectors with the free set as a mask, so
+    each step costs one product with the adjacency matrix. It stops once
+    every free residual divided by its degree, which is the second
+    derivative there, is at most ``_CG_REL_TOL`` times the largest observed
+    rating magnitude; missing that within the cap raises
+    :class:`ConvergenceError`.
     """
     n = graph.item_count
     values = np.full(n, np.nan)
@@ -215,52 +217,52 @@ def _harmonic_extend(
     solved[obs_idx] = True
 
     labels = graph.component_labels()
+    n_comp = int(labels.max()) + 1
     obs_mask = np.zeros(n, dtype=bool)
     obs_mask[obs_idx] = True
-    comp_observed = np.zeros(int(labels.max()) + 1, dtype=bool)
+    comp_observed = np.zeros(n_comp, dtype=bool)
     comp_observed[labels[obs_idx]] = True
     free = (~obs_mask) & comp_observed[labels] & (graph.degree > 0)
     free_idx = np.flatnonzero(free)
     if free_idx.size:
-        p_mat = graph.random_walk_matrix()
-        p_rows = p_mat[free_idx]
-        p_ff = p_rows[:, free_idx]
-        # a matvec against the observed values spread over all items gives
-        # the same sums as slicing out the observed columns, without the
-        # per-call cost of a second sparse fancy-index
-        observed_only = np.zeros(n)
-        observed_only[obs_idx] = obs_val
-        rhs = p_rows @ observed_only
-        m = free_idx.size
-        if m <= _DIRECT_SOLVE_LIMIT:
-            a = sparse.identity(m, format="csc") - p_ff.tocsc()
-            x = spla.spsolve(a, rhs)
-            x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        else:
-            x = np.full(m, float(np.mean(obs_val)))
-            cap = _RELAX_SWEEP_FACTOR * m
-            for _ in range(cap):
-                new = p_ff @ x + rhs
-                if np.max(np.abs(new - x)) < _RELAX_RESIDUAL:
-                    x = new
-                    break
-                x = new
-            else:
+        w, d = graph.adjacency, graph.degree
+        mask = free.astype(np.float64)
+        inv_d = np.zeros(n)
+        inv_d[free_idx] = 1.0 / d[free_idx]
+        x = np.zeros(n)
+        x[obs_idx] = obs_val
+        r = mask * (w @ x)
+        z = r * inv_d
+        p = z.copy()
+        rz = r @ z
+        tol = _CG_REL_TOL * float(np.max(np.abs(obs_val)))
+        # exact arithmetic ends within m steps; rounding can delay that
+        cap = 10 * free_idx.size
+        steps = 0
+        # a NaN residual fails the test and runs into the cap
+        while not np.abs(z).max() <= tol:
+            if steps == cap:
                 raise ConvergenceError(
-                    f"harmonic relaxation did not reach {_RELAX_RESIDUAL} within {cap} sweeps"
+                    f"harmonic CG solve did not reach residual {tol:.3g} within {cap} iterations"
                 )
-        values[free_idx] = x
+            steps += 1
+            q = mask * (d * p - w @ p)
+            alpha = rz / (p @ q)
+            x += alpha * p
+            r -= alpha * q
+            z = r * inv_d
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
         solved[free_idx] = True
 
         # maximum principle: estimates stay inside the observed range of
         # their component; clip away solver round-off so the property is exact
-        n_comp = int(labels.max()) + 1
         comp_min = np.full(n_comp, np.inf)
         comp_max = np.full(n_comp, -np.inf)
         np.minimum.at(comp_min, labels[obs_idx], obs_val)
         np.maximum.at(comp_max, labels[obs_idx], obs_val)
         values[free_idx] = np.clip(
-            values[free_idx], comp_min[labels[free_idx]], comp_max[labels[free_idx]]
+            x[free_idx], comp_min[labels[free_idx]], comp_max[labels[free_idx]]
         )
     return values, solved
 

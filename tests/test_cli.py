@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from rategraph import SolverConfig
 from rategraph.cli import ExperimentConfig, main
 from tests.conftest import random_rating_matrix
 
@@ -34,6 +35,9 @@ class TestConfigFile:
         cfg.to_file(str(path))
         again = ExperimentConfig.from_file(str(path))
         assert again == cfg
+
+    def test_solver_defaults_come_from_solver_config(self):
+        assert ExperimentConfig(c_low=1.0, c_high=5.0).solver_config() == SolverConfig(bounds=(1.0, 5.0))
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.cfg"

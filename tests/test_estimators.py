@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.sparse.linalg import spsolve
 
 from rategraph import (
+    ConvergenceError,
+    ItemGraph,
     OracleResult,
     SolverConfig,
     l0_oracle,
@@ -23,6 +27,30 @@ def smoothed_sum(graph, values, config):
     s = field.values[field.defined]
     eps, p = config.smoothing_eps, config.p
     return float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p))
+
+
+def dense_harmonic(graph, observed):
+    """Independent dense solve of (D - W) x = W x_O on the items an observation reaches.
+
+    Returns the free estimates by name and the set of unreached items.
+    """
+    w = graph.adjacency.toarray()
+    n = graph.item_count
+    obs = np.array(sorted(graph.item_index[k] for k in observed))
+    reach = np.zeros(n, dtype=bool)
+    reach[obs] = True
+    while True:
+        grown = reach | (w @ reach > 0)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    free = np.flatnonzero(reach & ~np.isin(np.arange(n), obs))
+    vals = np.array([observed[graph.items[i]] for i in obs])
+    lap = np.diag(w.sum(axis=1)) - w
+    x = np.linalg.solve(lap[np.ix_(free, free)], w[np.ix_(free, obs)] @ vals)
+    expected = {graph.items[i]: float(v) for i, v in zip(free, x)}
+    unreached = frozenset(graph.items[i] for i in np.flatnonzero(~reach))
+    return expected, unreached
 
 
 def fd_gradient(graph, values, free_names, config, step=1e-6):
@@ -93,18 +121,34 @@ class TestPredictHcp:
         assert rec.estimates["D"] == pytest.approx(11 / 3, abs=1e-9)
 
     def test_ladder_against_dense_oracle(self, ladder):
-        g = ladder.graph
-        rec = predict_hcp(g, ladder.observed, set(g.items))
-        # independent dense solve of the harmonic system
-        n = g.item_count
-        p = (g.adjacency / g.degree[:, None]).toarray()
-        obs = np.array([g.item_index[k] for k in ladder.observed])
-        vals = np.array([ladder.observed[g.items[i]] for i in obs])
-        free = np.array([i for i in range(n) if i not in set(obs.tolist())])
-        a = np.eye(len(free)) - p[np.ix_(free, free)]
-        x = np.linalg.solve(a, p[np.ix_(free, obs)] @ vals)
-        for i, val in zip(free, x):
-            assert rec.estimates[g.items[i]] == pytest.approx(val, abs=1e-9)
+        cases = [(ladder.graph, ladder.observed)]
+        for seed in range(40):
+            rng = np.random.default_rng(900 + seed)
+            g = random_connected_graph(rng, int(rng.integers(3, 25)))
+            cases.append((g, random_observed(rng, g)))
+        # three components and an isolated item; only the first two
+        # components hold an observation, so the rest must abstain
+        for seed in range(40):
+            rng = np.random.default_rng(950 + seed)
+            parts = [random_connected_graph(rng, int(rng.integers(2, 12))) for _ in range(3)]
+            items = [f"c{c}{name}" for c, part in enumerate(parts) for name in part.items]
+            adjacency = sparse.block_diag(
+                [part.adjacency for part in parts] + [sparse.csr_matrix((1, 1))], format="csr"
+            )
+            g = ItemGraph(items + ["alone"], adjacency)
+            observed = {}
+            for c, part in enumerate(parts[:2]):
+                observed.update(
+                    {f"c{c}{name}": val for name, val in random_observed(rng, part).items()}
+                )
+            cases.append((g, observed))
+        for g, observed in cases:
+            rec = predict_hcp(g, observed, set(g.items))
+            expected, unreachable = dense_harmonic(g, observed)
+            assert rec.abstentions == unreachable
+            assert set(rec.estimates) == set(observed) | set(expected)
+            for name, val in expected.items():
+                assert rec.estimates[name] == pytest.approx(val, abs=1e-10)
 
     def test_ladder_matches_expected_values(self, ladder):
         # the fixture's harmonic solution, rounded to one decimal
@@ -152,21 +196,37 @@ class TestPredictHcp:
         with pytest.raises(ValueError, match="observed"):
             predict_hcp(square.graph, {"nope": 3.0}, {"B"})
 
-    def test_relaxation_path_matches_direct_solve(self, ladder, monkeypatch):
-        from rategraph import estimators
+    def test_relaxation_path_matches_direct_solve(self, ladder):
+        # the iterative solve against a sparse LU solve of the same reduced
+        # Laplacian, on the ladder and on a weighted ring with chords long
+        # enough to take many CG iterations
+        rng = np.random.default_rng(7)
+        n = 300
+        rows = np.concatenate([np.arange(n), rng.integers(0, n, size=n // 10)])
+        cols = np.concatenate([(np.arange(n) + 1) % n, rng.integers(0, n, size=n // 10)])
+        keep = rows != cols
+        w = sparse.coo_matrix(
+            (rng.uniform(0.2, 1.0, size=keep.sum()), (rows[keep], cols[keep])), shape=(n, n)
+        ).tocsr()
+        ring = ItemGraph([f"r{k}" for k in range(n)], (w + w.T).tocsr())
+        ring_observed = {f"r{k}": float(rng.uniform(1.0, 5.0)) for k in (0, 97, 211)}
+        for g, observed in [(ladder.graph, ladder.observed), (ring, ring_observed)]:
+            relaxed = predict_hcp(g, observed, set(g.items))
+            obs = np.array(sorted(g.item_index[k] for k in observed))
+            free = np.setdiff1d(np.arange(g.item_count), obs)
+            vals = np.array([observed[g.items[i]] for i in obs])
+            lap = (sparse.diags(g.degree) - g.adjacency).tocsc()
+            direct = spsolve(lap[free][:, free], g.adjacency[free][:, obs] @ vals)
+            for i, val in zip(free, direct):
+                assert relaxed.estimates[g.items[i]] == pytest.approx(val, abs=1e-8)
 
-        direct = predict_hcp(ladder.graph, ladder.observed, set(ladder.graph.items))
-        monkeypatch.setattr(estimators, "_DIRECT_SOLVE_LIMIT", 0)
-        relaxed = predict_hcp(ladder.graph, ladder.observed, set(ladder.graph.items))
-        for name, val in direct.estimates.items():
-            assert relaxed.estimates[name] == pytest.approx(val, abs=1e-8)
-
-    def test_relaxation_cap_reports_nonconvergence(self, ladder, monkeypatch):
-        from rategraph import ConvergenceError, estimators
-
-        monkeypatch.setattr(estimators, "_DIRECT_SOLVE_LIMIT", 0)
-        monkeypatch.setattr(estimators, "_RELAX_SWEEP_FACTOR", 0)
-        with pytest.raises(ConvergenceError, match="relaxation"):
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_cg_cap_reports_nonconvergence(self, ladder, monkeypatch):
+        # no residual is within a negative tolerance, so the solve runs into
+        # its cap; on the way the residual underflows to zero, and the NaN
+        # steps that follow must end in the error, not in a result
+        monkeypatch.setattr(estimators, "_CG_REL_TOL", -1.0)
+        with pytest.raises(ConvergenceError, match="harmonic CG solve did not reach"):
             predict_hcp(ladder.graph, ladder.observed, {"v1"})
 
     def test_reduces_to_knn_on_fully_observed_neighborhoods(self):

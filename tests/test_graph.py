@@ -104,13 +104,16 @@ class TestBuildItemGraph:
         m = random_rating_matrix(rng, n_users=12, n_items=5, density=0.8)
         threshold, min_support = 0.3, 3
         g = build_item_graph(m, threshold, min_support)
+        columns = {item: {} for item in m.items}
+        for rec in m.records():
+            columns[rec.item_id][rec.user_id] = rec.rating
         # independent brute force over all 10 pairs via the scalar path
         expected = {}
         for i in range(5):
             for j in range(i + 1, 5):
                 r = pearson_similarity(
-                    m.item_ratings_by_name(m.items[i]),
-                    m.item_ratings_by_name(m.items[j]),
+                    columns[m.items[i]],
+                    columns[m.items[j]],
                     min_support,
                 )
                 if r is not None and r > threshold:
