@@ -120,9 +120,9 @@ def _toy_fixture(name: str) -> ToyFixture:
 
 def _toy_split(fix: ToyFixture) -> tuple[Split, ItemGraph]:
     """Wrap a toy fixture as a single-user train/test split over its graph."""
-    train = RatingMatrix((fix.bounds[0], fix.bounds[1]))
-    for item, rating in fix.observed.items():
-        train.add("u1", item, rating)
+    train = RatingMatrix.from_ids(
+        fix.bounds, ["u1"] * len(fix.observed), list(fix.observed), list(fix.observed.values())
+    )
     if fix.ground_truth is None:
         raise ValueError("toy fixture has no ground truth to test against")
     test = [

@@ -9,9 +9,11 @@ consumes them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, Optional
+from itertools import islice, repeat
+from typing import IO, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 from scipy import sparse
 
 from .graph import ItemGraph
@@ -47,61 +49,89 @@ class RatingRecord:
     timestamp: Optional[int] = None
 
 
+# lines parsed, or records turned into RatingRecords, per step; bounds the
+# Python objects alive at once
+_CHUNK = 4096
+
+
 class RatingMatrix:
     """Sparse user x item observed ratings with a legal rating range.
 
-    Entries are kept in insertion order; indices are assigned on first
-    occurrence, so parsing the same file always produces the same layout.
-    Instances are treated as immutable once built.
+    Ratings are stored as three columns in record order: int64 user and
+    item indices into the ``users`` and ``items`` name lists, and float64
+    ratings. Every matrix is built by this constructor, which checks the
+    whole columns at once: each rating lies in ``bounds`` and each
+    (user, item) pair occurs once. :meth:`from_ids` interns string ids in
+    first-occurrence order, so parsing the same file always produces the
+    same layout. Instances are immutable; the columns are read-only.
     """
 
-    def __init__(self, bounds: tuple[float, float]):
-        c_l, c_h = float(bounds[0]), float(bounds[1])
-        if not c_l < c_h:
-            raise ValueError("bounds must satisfy c_l < c_h")
-        self.bounds: tuple[float, float] = (c_l, c_h)
-        self.users: list[str] = []
-        self.items: list[str] = []
-        self.user_index: dict[str, int] = {}
-        self.item_index: dict[str, int] = {}
-        self._u: list[int] = []
-        self._i: list[int] = []
-        self._r: list[float] = []
-        self._seen: set[tuple[int, int]] = set()
-        # lazy per-user view
-        self._by_user: Optional[list[dict[int, float]]] = None
+    def __init__(
+        self,
+        bounds: tuple[float, float],
+        users: Sequence[str] = (),
+        items: Sequence[str] = (),
+        user_col: ArrayLike = (),
+        item_col: ArrayLike = (),
+        ratings: ArrayLike = (),
+    ):
+        self.bounds: tuple[float, float] = _checked_bounds(bounds)
+        self.users: list[str] = list(users)
+        self.items: list[str] = list(items)
+        self.user_index: dict[str, int] = {name: k for k, name in enumerate(self.users)}
+        self.item_index: dict[str, int] = {name: k for k, name in enumerate(self.items)}
+        if len(self.user_index) != len(self.users) or len(self.item_index) != len(self.items):
+            raise ValueError("user and item ids must be unique")
+        u = np.array(user_col, dtype=np.int64)
+        i = np.array(item_col, dtype=np.int64)
+        r = np.array(ratings, dtype=np.float64)
+        if not (u.ndim == 1 and u.shape == i.shape == r.shape):
+            raise ValueError("user, item and rating columns must be 1-d and of equal length")
+        if u.size and not (0 <= u.min() and u.max() < len(self.users)):
+            raise ValueError("user index out of range")
+        if i.size and not (0 <= i.min() and i.max() < len(self.items)):
+            raise ValueError("item index out of range")
+        for col in (u, i, r):
+            col.flags.writeable = False
+        self._u, self._i, self._r = u, i, r
+        self._check_records()
+        # by-user view (row starts, item column, rating column) and the last
+        # user's map, both made by user_ratings
+        self._rows: Optional[tuple[list[int], np.ndarray, np.ndarray]] = None
+        self._last: Optional[tuple[int, dict[int, float]]] = None
 
-    # -- construction ----------------------------------------------------------
+    @classmethod
+    def from_ids(
+        cls,
+        bounds: tuple[float, float],
+        user_ids: Sequence[str],
+        item_ids: Sequence[str],
+        ratings: ArrayLike,
+    ) -> "RatingMatrix":
+        """One record per position of the three sequences, ids interned in first-occurrence order."""
+        user_index: dict[str, int] = {}
+        item_index: dict[str, int] = {}
+        u = _intern(user_ids, user_index)
+        i = _intern(item_ids, item_index)
+        return cls(bounds, list(user_index), list(item_index), u, i, ratings)
 
-    def _intern_user(self, user_id: str) -> int:
-        k = self.user_index.get(user_id)
-        if k is None:
-            k = len(self.users)
-            self.user_index[user_id] = k
-            self.users.append(user_id)
-        return k
-
-    def _intern_item(self, item_id: str) -> int:
-        k = self.item_index.get(item_id)
-        if k is None:
-            k = len(self.items)
-            self.item_index[item_id] = k
-            self.items.append(item_id)
-        return k
-
-    def add(self, user_id: str, item_id: str, rating: float) -> None:
+    def _check_records(self) -> None:
+        """Raise :class:`_BadRecord` at the first record, in order, that is out of range or a repeat."""
+        n = self._r.size
         c_l, c_h = self.bounds
-        if not (c_l <= rating <= c_h):
-            raise ValueError(f"rating {rating} outside [{c_l}, {c_h}]")
-        u = self._intern_user(user_id)
-        i = self._intern_item(item_id)
-        if (u, i) in self._seen:
-            raise ValueError(f"duplicate rating for user {user_id!r}, item {item_id!r}")
-        self._seen.add((u, i))
-        self._u.append(u)
-        self._i.append(i)
-        self._r.append(float(rating))
-        self._by_user = None
+        outside = np.flatnonzero(~((self._r >= c_l) & (self._r <= c_h)))
+        first_outside = int(outside[0]) if outside.size else n
+        key = self._u * max(1, len(self.items)) + self._i
+        order = np.argsort(key, kind="stable")
+        # a stable sort keeps equal keys in record order, so every later copy follows its first
+        repeats = order[1:][key[order[1:]] == key[order[:-1]]]
+        first_repeat = int(repeats.min()) if repeats.size else n
+        if first_outside < n and first_outside <= first_repeat:
+            rating = float(self._r[first_outside])
+            raise _BadRecord(first_outside, f"rating {rating} outside [{c_l}, {c_h}]")
+        if first_repeat < n:
+            user, item = self.users[self._u[first_repeat]], self.items[self._i[first_repeat]]
+            raise _BadRecord(first_repeat, f"duplicate rating for user {user!r}, item {item!r}")
 
     # -- accessors ---------------------------------------------------------------
 
@@ -115,37 +145,44 @@ class RatingMatrix:
 
     @property
     def n_ratings(self) -> int:
-        return len(self._r)
+        return self._r.size
 
     def __len__(self) -> int:
-        return len(self._r)
+        return self._r.size
 
     def records(self) -> Iterator[RatingRecord]:
-        for u, i, r in zip(self._u, self._i, self._r):
-            yield RatingRecord(self.users[u], self.items[i], r)
+        return _records(self, slice(None))
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        return (
-            np.asarray(self._u, dtype=np.int64),
-            np.asarray(self._i, dtype=np.int64),
-            np.asarray(self._r, dtype=np.float64),
-        )
+        """The read-only user index, item index and rating columns."""
+        return self._u, self._i, self._r
 
     def user_ratings(self, user_idx: int) -> dict[int, float]:
-        """Item-index -> rating map for one user."""
-        if self._by_user is None:
-            by_user: list[dict[int, float]] = [dict() for _ in range(self.n_users)]
-            for u, i, r in zip(self._u, self._i, self._r):
-                by_user[u][i] = r
-            self._by_user = by_user
-        return self._by_user[user_idx]
+        """Item-index -> rating map for one user, in record order; treat it as read-only.
+
+        Maps are cut from a by-user view built on first use. The last map
+        handed out is kept and returned again for the same user, because
+        bound classification asks for it once per test record and a user's
+        test records usually come one after another.
+        """
+        if self._last is not None and self._last[0] == user_idx:
+            return self._last[1]
+        if self._rows is None:
+            order = np.argsort(self._u, kind="stable")
+            indptr = np.zeros(self.n_users + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self._u, minlength=self.n_users), out=indptr[1:])
+            self._rows = (indptr.tolist(), self._i[order], self._r[order])
+        indptr, items, ratings = self._rows
+        lo, hi = indptr[user_idx], indptr[user_idx + 1]
+        rated = dict(zip(items[lo:hi].tolist(), ratings[lo:hi].tolist()))
+        self._last = (user_idx, rated)
+        return rated
 
     def user_item_matrix(self) -> sparse.csr_matrix:
-        u, i, r = self.arrays()
-        return sparse.csr_matrix((r, (u, i)), shape=(self.n_users, self.n_items))
+        return sparse.csr_matrix((self._r, (self._u, self._i)), shape=(self.n_users, self.n_items))
 
     def global_mean(self) -> float:
-        if not self._r:
+        if not self._r.size:
             raise ValueError("empty rating matrix has no mean")
         return float(np.mean(self._r))
 
@@ -154,10 +191,51 @@ class RatingMatrix:
             self.bounds == other.bounds
             and self.users == other.users
             and self.items == other.items
-            and self._u == other._u
-            and self._i == other._i
-            and self._r == other._r
+            and np.array_equal(self._u, other._u)
+            and np.array_equal(self._i, other._i)
+            and np.array_equal(self._r, other._r)
         )
+
+
+class _BadRecord(ValueError):
+    """A record the constructor rejects, with its 0-based position."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position
+
+
+def _checked_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
+    c_l, c_h = float(bounds[0]), float(bounds[1])
+    if not c_l < c_h:
+        raise ValueError("bounds must satisfy c_l < c_h")
+    return c_l, c_h
+
+
+def _intern(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
+    """Index of each id, adding ids new to ``index`` in first-occurrence order."""
+    for name in dict.fromkeys(ids):
+        index.setdefault(name, len(index))
+    return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
+def _reindex(codes: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
+    """``codes`` renumbered 0.. in first-occurrence order, and the names they keep."""
+    present, first = np.unique(codes, return_index=True)
+    kept = present[np.argsort(first)]
+    renumber = np.empty(len(names), dtype=np.int64)
+    renumber[kept] = np.arange(kept.size)
+    return renumber[codes], [names[k] for k in kept.tolist()]
+
+
+def _records(matrix: RatingMatrix, keep: slice | np.ndarray) -> Iterator[RatingRecord]:
+    """The records that index ``keep`` selects, in order; ratings as Python floats."""
+    u, i, r = (col[keep] for col in matrix.arrays())
+    users, items = matrix.users, matrix.items
+    for lo in range(0, r.size, _CHUNK):
+        hi = lo + _CHUNK
+        for a, b, c in zip(u[lo:hi].tolist(), i[lo:hi].tolist(), r[lo:hi].tolist()):
+            yield RatingRecord(users[a], items[b], c)
 
 
 @dataclass(frozen=True)
@@ -180,48 +258,117 @@ def parse_ratings(
     ``format`` is ``movielens_dat`` (``user::item::rating::timestamp``, no
     header) or ``csv`` (header ``user,item,rating[,timestamp]``). Malformed
     lines, out-of-range ratings and duplicate (user, item) pairs raise
-    :class:`RatingParseError` naming the 1-based line number.
+    :class:`RatingParseError` naming the 1-based line number of the first
+    offending line in file order.
     """
     if format not in ("movielens_dat", "csv"):
         raise ValueError(f"unknown format {format!r}")
-    matrix = RatingMatrix(bounds)
-    lines = iter(enumerate(stream, start=1))
+    bounds = _checked_bounds(bounds)
+    sep = "::" if format == "movielens_dat" else ","
+    lines = iter(stream)
+    lineno = 1
 
     if format == "csv":
-        header = next(lines, None)
-        if header is not None:
-            lineno, text = header
+        text = next(lines, None)
+        if text is not None:
             cols = [c.strip() for c in text.rstrip("\n").split(",")]
             if cols[:3] != ["user", "item", "rating"]:
                 raise RatingParseError(lineno, f"bad csv header {text.rstrip()!r}")
+            lineno += 1
 
-    for lineno, raw in lines:
-        line = raw.rstrip("\n")
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    empty = np.empty(0, dtype=np.int64)
+    linenos, user_col, item_col, rating_col = [empty], [empty], [empty], [np.empty(0)]
+    malformed: Optional[RatingParseError] = None
+    while malformed is None:
+        chunk = list(islice(lines, _CHUNK))
+        if not chunk:
+            break
+        numbers, users, items, ratings, malformed = _tokenise(chunk, lineno, sep)
+        lineno += len(chunk)
+        linenos.append(numbers)
+        user_col.append(_intern(users, user_index))
+        item_col.append(_intern(items, item_index))
+        rating_col.append(np.array(ratings, dtype=np.float64))
+    try:
+        matrix = RatingMatrix(
+            bounds,
+            list(user_index),
+            list(item_index),
+            np.concatenate(user_col),
+            np.concatenate(item_col),
+            np.concatenate(rating_col),
+        )
+    except _BadRecord as exc:
+        # every record before a malformed line precedes it in the file
+        raise RatingParseError(int(np.concatenate(linenos)[exc.position]), str(exc)) from None
+    if malformed is not None:
+        raise malformed
+    return matrix
+
+
+def _tokenise(
+    chunk: list[str], first_lineno: int, sep: str
+) -> tuple[np.ndarray, list[str], list[str], list[float], Optional[RatingParseError]]:
+    """Line numbers, user ids, item ids and ratings of the records in a chunk of lines.
+
+    Stops at the first malformed line and returns its error instead of
+    raising it, so that a bad record earlier in the file can be reported
+    first. Timestamps are checked and dropped.
+    """
+    lines = list(map(str.rstrip, chunk, repeat("\n")))
+    widths = set(map(str.count, lines, repeat(sep)))
+    if widths == {2} or widths == {3}:
+        # Common case: no blank line and one field count. The fields are cut
+        # out of one joined string, which makes no per-line list; any
+        # failure falls through to the line-by-line pass, which locates it.
+        k = widths.pop() + 1
+        fields = "\n".join(lines).replace(sep, "\n").split("\n")
+        if len(fields) == k * len(lines):
+            users, items = fields[0::k], fields[1::k]
+            if "" not in users and "" not in items:
+                try:
+                    ratings = list(map(float, fields[2::k]))
+                    if k == 4:
+                        list(map(int, filter(None, fields[3::k])))
+                except ValueError:
+                    pass
+                else:
+                    numbers = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
+                    return numbers, users, items, ratings, None
+
+    numbers, users, items, ratings = [], [], [], []
+    for lineno, line in enumerate(lines, start=first_lineno):
         if not line:
             continue
-        if format == "movielens_dat":
-            parts = line.split("::")
-        else:
-            parts = line.split(",")
-        if len(parts) not in (3, 4):
-            raise RatingParseError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
-        user_id, item_id = parts[0], parts[1]
-        if not user_id or not item_id:
-            raise RatingParseError(lineno, "empty user or item id")
+        parts = line.split(sep)
+        error = _malformed(lineno, parts)
+        if error is not None:
+            return np.array(numbers, dtype=np.int64), users, items, ratings, error
+        numbers.append(lineno)
+        users.append(parts[0])
+        items.append(parts[1])
+        ratings.append(float(parts[2]))
+    return np.array(numbers, dtype=np.int64), users, items, ratings, None
+
+
+def _malformed(lineno: int, parts: list[str]) -> Optional[RatingParseError]:
+    """The error for one non-blank line's fields, or None if they form a record."""
+    if len(parts) not in (3, 4):
+        return RatingParseError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
+    if not parts[0] or not parts[1]:
+        return RatingParseError(lineno, "empty user or item id")
+    try:
+        float(parts[2])
+    except ValueError:
+        return RatingParseError(lineno, f"bad rating {parts[2]!r}")
+    if len(parts) == 4 and parts[3]:
         try:
-            rating = float(parts[2])
+            int(parts[3])
         except ValueError:
-            raise RatingParseError(lineno, f"bad rating {parts[2]!r}") from None
-        if len(parts) == 4 and parts[3]:
-            try:
-                int(parts[3])
-            except ValueError:
-                raise RatingParseError(lineno, f"bad timestamp {parts[3]!r}") from None
-        try:
-            matrix.add(user_id, item_id, rating)
-        except ValueError as exc:
-            raise RatingParseError(lineno, str(exc)) from None
-    return matrix
+            return RatingParseError(lineno, f"bad timestamp {parts[3]!r}")
+    return None
 
 
 def split_ratings(matrix: RatingMatrix, fraction: float, seed: int) -> Split:
@@ -230,7 +377,9 @@ def split_ratings(matrix: RatingMatrix, fraction: float, seed: int) -> Split:
     Records are permuted with numpy's PCG64 generator seeded by ``seed``
     (a documented, portable algorithm), and the first
     ``round((1 - fraction) * n)`` of the permutation become the test set.
-    Identical inputs therefore yield bit-identical splits on any platform.
+    Both sides keep file order; the train side interns its ids afresh in
+    first-occurrence order. Identical inputs therefore yield bit-identical
+    splits on any platform.
     """
     if not (0 < fraction < 1):
         raise ValueError("fraction must lie strictly between 0 and 1")
@@ -238,15 +387,14 @@ def split_ratings(matrix: RatingMatrix, fraction: float, seed: int) -> Split:
     rng = np.random.Generator(np.random.PCG64(seed))
     perm = rng.permutation(n)
     n_test = int(round((1 - fraction) * n))
-    test_pos = set(perm[:n_test].tolist())
-
-    train = RatingMatrix(matrix.bounds)
-    test: list[RatingRecord] = []
-    for pos, rec in enumerate(matrix.records()):
-        if pos in test_pos:
-            test.append(rec)
-        else:
-            train.add(rec.user_id, rec.item_id, rec.rating)
+    is_test = np.zeros(n, dtype=bool)
+    is_test[perm[:n_test]] = True
+    test = list(_records(matrix, is_test))
+    u, i, r = matrix.arrays()
+    keep = ~is_test
+    u, users = _reindex(u[keep], matrix.users)
+    i, items = _reindex(i[keep], matrix.items)
+    train = RatingMatrix(matrix.bounds, users, items, u, i, r[keep])
     return Split(train=train, test=test, fraction=fraction, seed=seed)
 
 

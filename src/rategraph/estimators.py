@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
@@ -137,19 +137,28 @@ def _observed_arrays(
     observed: dict[str, float],
     bounds: Optional[tuple[float, float]] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    idx = np.empty(len(observed), dtype=np.int64)
-    val = np.empty(len(observed))
-    for k, (name, rating) in enumerate(sorted(observed.items(), key=lambda kv: graph.item_index.get(kv[0], -1))):
-        if name not in graph.item_index:
-            raise ValueError(f"observed item {name!r} is not in the graph")
-        if not math.isfinite(rating):
-            raise ValueError(f"observed rating for {name!r} is not finite")
-        if bounds is not None and not (bounds[0] <= rating <= bounds[1]):
-            raise ValueError(
-                f"observed rating {rating} for {name!r} outside [{bounds[0]}, {bounds[1]}]"
-            )
-        idx[k] = graph.item_index[name]
-        val[k] = float(rating)
+    """Graph indices of the observed items in ascending order, and their ratings.
+
+    The first error raised is for an item missing from the graph (in the
+    map's order), else for the lowest-index item whose rating is not finite
+    or lies outside ``bounds``.
+    """
+    names = list(observed)
+    idx = np.fromiter(map(graph.item_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
+    order = np.argsort(idx)
+    idx = idx[order]
+    val = np.fromiter(observed.values(), dtype=np.float64, count=len(names))[order]
+    lo, hi = bounds if bounds is not None else (-math.inf, math.inf)
+    if idx.size and not (idx[0] >= 0 and np.isfinite(val).all() and lo <= val.min() and val.max() <= hi):
+        for name in names:
+            if name not in graph.item_index:
+                raise ValueError(f"observed item {name!r} is not in the graph")
+        for name in map(names.__getitem__, order.tolist()):
+            rating = observed[name]
+            if not math.isfinite(rating):
+                raise ValueError(f"observed rating for {name!r} is not finite")
+            if not (lo <= rating <= hi):
+                raise ValueError(f"observed rating {rating} for {name!r} outside [{lo}, {hi}]")
     return idx, val
 
 

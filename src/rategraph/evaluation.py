@@ -64,11 +64,8 @@ def classify_bound(
         return BoundClass.UNCLASSIFIABLE
     rated = train.user_ratings(user)
     # graph and train keep independent item index spaces; map through names
-    neighbor_ratings = []
-    for j in neigh:
-        ti = train.item_index.get(graph.items[j])
-        if ti is not None and ti in rated:
-            neighbor_ratings.append(rated[ti])
+    train_items = map(train.item_index.get, map(graph.items.__getitem__, neigh.tolist()))
+    neighbor_ratings = [rated[ti] for ti in train_items if ti in rated]
     if not neighbor_ratings:
         return BoundClass.UNCLASSIFIABLE
     if test_record.rating > max(neighbor_ratings):

@@ -28,12 +28,15 @@ def tent_ring_dataset(
     """
     rng = np.random.default_rng(seed)
     theta = 2 * np.pi * np.arange(n_items) / n_items
-    m = RatingMatrix((1.0, 5.0))
+    users: list[str] = []
+    items: list[str] = []
+    ratings: list[float] = []
     for u in range(n_users):
         phi = 2 * np.pi * rng.integers(0, n_items) / n_items
         dist = np.abs((theta - phi + np.pi) % (2 * np.pi) - np.pi)
         vals = np.clip(5.0 - (4.0 / np.pi) * dist + rng.uniform(-noise, noise, n_items), 1, 5)
-        mask = rng.uniform(size=n_items) < density
-        for i in np.flatnonzero(mask):
-            m.add(f"u{u}", f"i{i}", float(np.round(vals[i], 3)))
-    return m
+        rated = np.flatnonzero(rng.uniform(size=n_items) < density)
+        users += [f"u{u}"] * rated.size
+        items += [f"i{i}" for i in rated]
+        ratings += np.round(vals[rated], 3).tolist()
+    return RatingMatrix.from_ids((1.0, 5.0), users, items, ratings)

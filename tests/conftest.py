@@ -82,11 +82,13 @@ def random_rating_matrix(
     bounds=(1.0, 5.0),
     integer: bool = True,
 ) -> RatingMatrix:
-    m = RatingMatrix(bounds)
     lo, hi = bounds
+    users, items, ratings = [], [], []
     for u in range(n_users):
         for i in range(n_items):
             if rng.uniform() < density:
                 r = float(rng.integers(int(lo), int(hi) + 1)) if integer else float(rng.uniform(lo, hi))
-                m.add(f"u{u}", f"m{i}", r)
-    return m
+                users.append(f"u{u}")
+                items.append(f"m{i}")
+                ratings.append(r)
+    return RatingMatrix.from_ids(bounds, users, items, ratings)

@@ -1,10 +1,12 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rategraph import data as data_module
 from rategraph import (
     RatingMatrix,
     RatingParseError,
@@ -79,9 +81,12 @@ class TestParseCsv:
 class TestRoundTrip:
     def test_csv_round_trip_exact(self):
         rng = np.random.default_rng(11)
-        m = RatingMatrix((1, 5))
-        for k in range(200):
-            m.add(f"u{k % 13}", f"i{k % 31}", float(rng.uniform(1, 5)))
+        m = RatingMatrix.from_ids(
+            (1, 5),
+            [f"u{k % 13}" for k in range(200)],
+            [f"i{k % 31}" for k in range(200)],
+            rng.uniform(1, 5, size=200),
+        )
         buf = io.StringIO()
         write_ratings_csv(m, buf)
         again = parse_ratings(io.StringIO(buf.getvalue()), "csv", (1, 5))
@@ -98,10 +103,7 @@ class TestRoundTrip:
 class TestSplit:
     @staticmethod
     def _matrix(n):
-        m = RatingMatrix((1, 5))
-        for k in range(n):
-            m.add(f"u{k}", f"i{k}", 3.0)
-        return m
+        return RatingMatrix.from_ids((1, 5), [f"u{k}" for k in range(n)], [f"i{k}" for k in range(n)], [3.0] * n)
 
     def test_ten_records_eight_two(self):
         split = split_ratings(self._matrix(10), fraction=0.8, seed=7)
@@ -138,10 +140,11 @@ class TestSplit:
 
     def test_movielens_scale_band(self):
         n = 1_000_209
-        m = RatingMatrix((1, 5))
-        # one synthetic record per rating, users reused to keep interning cheap
-        for k in range(n):
-            m.add(f"u{k % 6040}", f"i{k}", 3.0)
+        # one synthetic record per rating: user u{k % 6040} rates item i{k}
+        k = np.arange(n)
+        m = RatingMatrix(
+            (1, 5), [f"u{j}" for j in range(6040)], [f"i{j}" for j in range(n)], k % 6040, k, np.full(n, 3.0)
+        )
         split = split_ratings(m, 0.8, seed=0)
         assert 199_042 <= len(split.test) <= 201_042
         assert split.train.n_ratings + len(split.test) == n
@@ -157,6 +160,205 @@ class TestSplit:
         lines = buf.getvalue().splitlines()
         assert len(lines) == 2
         assert all(len(line.split(",")) == 3 for line in lines)
+
+
+def _reference_parse(stream, format, bounds):
+    """Record-by-record parse: what parse_ratings did before it built columns.
+
+    Returns (users, items, records) with records as (user, item, rating)
+    tuples in file order, or raises RatingParseError at the first bad line.
+    """
+    c_l, c_h = float(bounds[0]), float(bounds[1])
+    users, items, records, seen = {}, {}, [], set()
+    lines = iter(enumerate(stream, start=1))
+    if format == "csv":
+        header = next(lines, None)
+        if header is not None:
+            lineno, line = header
+            cols = [c.strip() for c in line.rstrip("\n").split(",")]
+            if cols[:3] != ["user", "item", "rating"]:
+                raise RatingParseError(lineno, f"bad csv header {line.rstrip()!r}")
+    for lineno, raw in lines:
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split("::" if format == "movielens_dat" else ",")
+        if len(parts) not in (3, 4):
+            raise RatingParseError(lineno, f"expected 3 or 4 fields, got {len(parts)}")
+        user, item = parts[0], parts[1]
+        if not user or not item:
+            raise RatingParseError(lineno, "empty user or item id")
+        try:
+            rating = float(parts[2])
+        except ValueError:
+            raise RatingParseError(lineno, f"bad rating {parts[2]!r}") from None
+        if len(parts) == 4 and parts[3]:
+            try:
+                int(parts[3])
+            except ValueError:
+                raise RatingParseError(lineno, f"bad timestamp {parts[3]!r}") from None
+        if not (c_l <= rating <= c_h):
+            raise RatingParseError(lineno, f"rating {rating} outside [{c_l}, {c_h}]")
+        users.setdefault(user, len(users))
+        items.setdefault(item, len(items))
+        if (user, item) in seen:
+            raise RatingParseError(lineno, f"duplicate rating for user {user!r}, item {item!r}")
+        seen.add((user, item))
+        records.append((user, item, rating))
+    return list(users), list(items), records
+
+
+def _reference_split(records, fraction, seed):
+    """Record-by-record split: (train users, train items, train records, test records)."""
+    perm = np.random.Generator(np.random.PCG64(seed)).permutation(len(records))
+    test_pos = set(perm[: int(round((1 - fraction) * len(records)))].tolist())
+    users, items, train, test = {}, {}, [], []
+    for pos, (user, item, rating) in enumerate(records):
+        if pos in test_pos:
+            test.append((user, item, rating))
+        else:
+            users.setdefault(user, len(users))
+            items.setdefault(item, len(items))
+            train.append((user, item, rating))
+    return list(users), list(items), train, test
+
+
+def _triples(records):
+    out = [(r.user_id, r.item_id, r.rating) for r in records]
+    assert all(type(r) is float for _, _, r in out)
+    return out
+
+
+_GOOD_USERS = st.sampled_from(["1", "2", "3", "a", "007", "x:", ":y"])
+_GOOD_ITEMS = st.integers(0, 30).map(str)
+_GOOD_RATINGS = st.sampled_from(["1", "3.5", "5", "5.0", "4.25", " 2 "])
+_ANY_IDS = st.sampled_from(["1", "a", "x:", "", " "])
+_ANY_RATINGS = st.sampled_from(["3", "0.5", "6", "nan", "inf", "-1", "five", "", "3_0"])
+_STAMPS = st.sampled_from(["", "0", "978300760", "later", "-5", "1.5"])
+
+
+@st.composite
+def _ratings_text(draw):
+    """A csv or movielens_dat text: mostly good records, mixed with every kind of bad line."""
+    format = draw(st.sampled_from(["csv", "movielens_dat"]))
+    sep = "," if format == "csv" else "::"
+    lines = []
+    if format == "csv":
+        lines.append(draw(st.sampled_from(["user,item,rating", "user,item,rating,timestamp", "a,b,c"])))
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["good"] * 12 + ["stamp", "stamp", "blank", "fields", "wild"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "fields":
+            n_fields = draw(st.sampled_from([1, 2, 5]))
+            lines.append(sep.join([draw(_GOOD_USERS), draw(_GOOD_ITEMS), "3", "0", "0"][:n_fields]))
+        elif kind == "wild":
+            lines.append(sep.join([draw(_ANY_IDS), draw(_ANY_IDS), draw(_ANY_RATINGS)]))
+        else:
+            fields = [draw(_GOOD_USERS), draw(_GOOD_ITEMS), draw(_GOOD_RATINGS)]
+            lines.append(sep.join(fields + ([draw(_STAMPS)] if kind == "stamp" else [])))
+    end = draw(st.sampled_from(["\n", ""]))
+    return format, "\n".join(lines) + end if lines else ""
+
+
+class TestAgainstRecordByRecord:
+    """parse_ratings and split_ratings against the record-by-record reference."""
+
+    @given(case=_ratings_text(), chunk=st.sampled_from([1, 2, 3, 4096]), seed=st.integers(0, 2**16))
+    @settings(max_examples=300, deadline=None)
+    def test_same_records_or_same_error(self, case, chunk, seed):
+        format, text = case
+        try:
+            want = _reference_parse(io.StringIO(text), format, (1, 5))
+        except RatingParseError as exc:
+            want = exc
+        with mock.patch.object(data_module, "_CHUNK", chunk):
+            try:
+                got = parse_ratings(io.StringIO(text), format, (1, 5))
+            except RatingParseError as exc:
+                got = exc
+            if isinstance(want, RatingParseError):
+                assert isinstance(got, RatingParseError), text
+                assert (got.lineno, str(got)) == (want.lineno, str(want))
+                return
+            assert not isinstance(got, Exception), got
+            users, items, records = want
+            assert (got.users, got.items, _triples(got.records())) == (users, items, records)
+            if records:
+                split = split_ratings(got, 0.7, seed)
+                train_users, train_items, train, test = _reference_split(records, 0.7, seed)
+                assert (split.train.users, split.train.items) == (train_users, train_items)
+                assert _triples(split.train.records()) == train
+                assert _triples(split.test) == test
+
+    def test_earliest_bad_line_wins(self):
+        text = "1::1::5::0\n2::1::4::0\n1::1::3::0\n\n2::2::9::0\n1::3::4::0\ngarbage\n"
+        with pytest.raises(RatingParseError, match="line 3: duplicate"):
+            parse_ratings(io.StringIO(text), "movielens_dat", (1, 5))
+        out_of_range_first = "1::1::5::0\n1::2::9::0\n1::1::3::0\ngarbage\n"
+        with pytest.raises(RatingParseError, match="line 2: rating 9.0 outside"):
+            parse_ratings(io.StringIO(out_of_range_first), "movielens_dat", (1, 5))
+        malformed_first = "1::1::5::0\nbad\n1::1::3::0\n"
+        with pytest.raises(RatingParseError, match="line 2: expected 3 or 4 fields"):
+            parse_ratings(io.StringIO(malformed_first), "movielens_dat", (1, 5))
+        # a record both out of range and a repeat fails the range check first, as it always did
+        with pytest.raises(RatingParseError, match="line 2: rating 9.0 outside"):
+            parse_ratings(io.StringIO("1::1::5::0\n1::1::9::0\n"), "movielens_dat", (1, 5))
+
+    def test_newline_inside_a_line(self):
+        """A stream that ends lines at '\\r' only can hold '\\n' inside a field."""
+        data = b"a::5\n4::3\rb::2::1\r"
+
+        def stream():
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\r")
+
+        m = parse_ratings(stream(), "movielens_dat", (1, 5))
+        assert (m.users, m.items, _triples(m.records())) == _reference_parse(stream(), "movielens_dat", (1, 5))
+        assert m.items == ["5\n4", "2"]
+
+    def test_ring_shaped_input_matches(self):
+        rng = np.random.default_rng(5)
+        rows = [(f"u{u}", f"i{i}", float(np.round(rng.uniform(1, 5), 3))) for u in range(60) for i in range(40)
+                if rng.uniform() < 0.4]
+        text = "user,item,rating\n" + "".join(f"{u},{i},{r!r}\n" for u, i, r in rows)
+        m = parse_ratings(io.StringIO(text), "csv", (1, 5))
+        assert (m.users, m.items, _triples(m.records())) == _reference_parse(io.StringIO(text), "csv", (1, 5))
+        split = split_ratings(m, 0.8, 1)
+        train_users, train_items, train, test = _reference_split(rows, 0.8, 1)
+        assert (split.train.users, split.train.items, _triples(split.train.records())) == (
+            train_users, train_items, train)
+        assert _triples(split.test) == test
+
+
+class TestRatingMatrixConstructor:
+    def test_rejects_out_of_range_and_repeats(self):
+        with pytest.raises(ValueError, match="outside"):
+            RatingMatrix.from_ids((1, 5), ["a"], ["x"], [6.0])
+        with pytest.raises(ValueError, match="duplicate rating for user 'a', item 'x'"):
+            RatingMatrix.from_ids((1, 5), ["a", "b", "a"], ["x", "x", "x"], [1.0, 2.0, 3.0])
+
+    def test_rejects_bad_columns(self):
+        with pytest.raises(ValueError, match="equal length"):
+            RatingMatrix((1, 5), ["a"], ["x"], [0, 0], [0], [3.0])
+        with pytest.raises(ValueError, match="item index"):
+            RatingMatrix((1, 5), ["a"], ["x"], [0], [1], [3.0])
+        with pytest.raises(ValueError, match="unique"):
+            RatingMatrix((1, 5), ["a", "a"], ["x"], [0], [0], [3.0])
+        with pytest.raises(ValueError, match="bounds"):
+            RatingMatrix((5, 1))
+
+    def test_columns_are_read_only(self):
+        m = RatingMatrix.from_ids((1, 5), ["a", "b"], ["x", "x"], [1, 2])
+        u, i, r = m.arrays()
+        with pytest.raises(ValueError):
+            r[0] = 5.0
+        assert m.users == ["a", "b"] and m.items == ["x"] and r.tolist() == [1.0, 2.0]
+
+    def test_user_ratings_in_record_order(self):
+        m = RatingMatrix.from_ids((1, 5), ["b", "a", "b", "a"], ["y", "x", "x", "z"], [1, 2, 3, 4])
+        assert list(m.user_ratings(0).items()) == [(0, 1.0), (1, 3.0)]
+        assert list(m.user_ratings(1).items()) == [(1, 2.0), (2, 4.0)]
+        assert m.user_ratings(0) == {0: 1.0, 1: 3.0}
 
 
 class TestSquareToy:

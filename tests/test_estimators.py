@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import spsolve
 
@@ -63,6 +67,49 @@ def fd_gradient(graph, values, free_names, config, step=1e-6):
         down[i] -= step
         out[k] = (smoothed_sum(graph, up, config) - smoothed_sum(graph, down, config)) / (2 * step)
     return out
+
+
+def _reference_observed_arrays(graph, observed, bounds=None):
+    """The per-item loop _observed_arrays replaced: sort by graph index, check each item in turn."""
+    idx = np.empty(len(observed), dtype=np.int64)
+    val = np.empty(len(observed))
+    for k, (name, rating) in enumerate(sorted(observed.items(), key=lambda kv: graph.item_index.get(kv[0], -1))):
+        if name not in graph.item_index:
+            raise ValueError(f"observed item {name!r} is not in the graph")
+        if not math.isfinite(rating):
+            raise ValueError(f"observed rating for {name!r} is not finite")
+        if bounds is not None and not (bounds[0] <= rating <= bounds[1]):
+            raise ValueError(f"observed rating {rating} for {name!r} outside [{bounds[0]}, {bounds[1]}]")
+        idx[k] = graph.item_index[name]
+        val[k] = float(rating)
+    return idx, val
+
+
+class TestObservedArrays:
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from([f"v{k}" for k in range(1, 27)] + ["nope", "gone"]),
+                st.sampled_from([2.0, 4, 5.5, 9.0, 0.5, 10, math.nan, math.inf, -math.inf, np.float64(3.25)]),
+            ),
+            max_size=12,
+        ),
+        bounded=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_item_loop(self, ladder, entries, bounded):
+        observed = dict(entries)
+        bounds = ladder.bounds if bounded else None
+        try:
+            want = _reference_observed_arrays(ladder.graph, observed, bounds)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                estimators._observed_arrays(ladder.graph, observed, bounds)
+            assert str(got.value) == str(exc)
+            return
+        idx, val = estimators._observed_arrays(ladder.graph, observed, bounds)
+        assert idx.tolist() == want[0].tolist()
+        assert val.tolist() == want[1].tolist()
 
 
 class TestPredictKnn:

@@ -34,10 +34,8 @@ def _line_graph(names):
 
 
 def _train(rows, bounds=(1, 5)):
-    m = RatingMatrix(bounds)
-    for user, item, rating in rows:
-        m.add(user, item, rating)
-    return m
+    users, items, ratings = zip(*rows)
+    return RatingMatrix.from_ids(bounds, users, items, ratings)
 
 
 class TestClassifyBound:
@@ -99,19 +97,19 @@ def _toy_ladder_split(mirrored_user=False):
     """The ladder fixture as one user's split; optionally a second user who
     rates every item 10 - r, so that there is more than one task."""
     fix = ladder_toy_26()
-    train = RatingMatrix(fix.bounds)
+    rows = []
     test = []
     users = [("u1", lambda r: r)]
     if mirrored_user:
         users.append(("u2", lambda r: 10.0 - r))
     for user, rate in users:
-        for item, rating in fix.observed.items():
-            train.add(user, item, rate(rating))
+        rows += [(user, item, rate(rating)) for item, rating in fix.observed.items()]
         test += [
             RatingRecord(user, item, rate(rating))
             for item, rating in fix.ground_truth.items()
             if item not in fix.observed
         ]
+    train = RatingMatrix.from_ids(fix.bounds, *zip(*rows))
     return Split(train=train, test=test, fraction=0.8, seed=0), fix
 
 

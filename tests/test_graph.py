@@ -59,11 +59,8 @@ class TestPearsonSimilarity:
 
 def _matrix_from_columns(columns: dict[str, dict[str, float]], bounds=(1, 5)):
     """Build a RatingMatrix from per-item {user: rating} columns."""
-    m = RatingMatrix(bounds)
-    for item, col in columns.items():
-        for user, r in col.items():
-            m.add(user, item, r)
-    return m
+    rows = [(user, item, r) for item, col in columns.items() for user, r in col.items()]
+    return RatingMatrix.from_ids(bounds, *zip(*rows)) if rows else RatingMatrix(bounds)
 
 
 class TestBuildItemGraph:
