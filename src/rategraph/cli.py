@@ -72,12 +72,14 @@ class ExperimentConfig:
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
                 current = getattr(cfg, key)
-                if isinstance(current, int):
-                    setattr(cfg, key, int(value))
-                elif isinstance(current, float):
-                    setattr(cfg, key, float(value))
-                else:
-                    setattr(cfg, key, value)
+                if isinstance(current, (int, float)):
+                    kind = type(current)
+                    try:
+                        value = kind(value)
+                    except ValueError:
+                        noun = "an int" if kind is int else "a float"
+                        raise ValueError(f"{path}:{lineno}: {key} expects {noun}, got {value!r}") from None
+                setattr(cfg, key, value)
         return cfg
 
     def to_file(self, path: str) -> None:

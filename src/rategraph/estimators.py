@@ -25,10 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations, repeat
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .graph import ItemGraph, second_derivative
 
@@ -130,6 +131,22 @@ class UserRecovery:
 
 
 # -- shared helpers -------------------------------------------------------------
+
+
+def _matvec(mat: sparse.csr_matrix, vec: np.ndarray) -> np.ndarray:
+    """``mat @ vec`` for a float64 CSR matrix and a float64 vector.
+
+    Calls the compiled ``csr_matvec`` kernel on a fresh zero output, which is
+    all that ``mat @ vec`` does after its operator dispatch, so the result is
+    the same bit for bit. The kernel trusts its sizes, so a vector of the
+    wrong length or dtype raises here instead of being read past its end.
+    """
+    m, n = mat.shape
+    if vec.shape != (n,) or vec.dtype != np.float64:
+        raise ValueError(f"matvec needs a float64 vector of length {n}, got {vec.dtype} {vec.shape}")
+    out = np.zeros(m)
+    _sparsetools.csr_matvec(m, n, mat.indptr, mat.indices, mat.data, vec, out)
+    return out
 
 
 def _observed_arrays(
@@ -255,7 +272,7 @@ def _harmonic_extend(
                     f"harmonic CG solve did not reach residual {tol:.3g} within {cap} iterations"
                 )
             steps += 1
-            q = mask * (d * p - w @ p)
+            q = mask * (d * p - _matvec(w, p))
             alpha = rz / (p @ q)
             x += alpha * p
             r -= alpha * q
@@ -327,19 +344,35 @@ def predict_hcp(
 # kink at 0 for p <= 1/2, which freezes descent at any all-flat point.)
 
 
+# Both evaluate their docstring's formula in place on one fresh array, with
+# the same operations on the same operands, so they round exactly as the
+# expression written out would.
+
+
 def _phi(s: np.ndarray, p: float, eps: float) -> np.ndarray:
-    return (s * s + eps * eps) ** (0.5 * p) - eps**p
+    """(s*s + eps*eps) ** (p/2) - eps**p."""
+    t = s * s
+    t += eps * eps
+    t **= 0.5 * p
+    t -= eps**p
+    return t
 
 
 def _phi_grad(s: np.ndarray, p: float, eps: float) -> np.ndarray:
-    return p * s * (s * s + eps * eps) ** (0.5 * p - 1.0)
+    """p * s * (s*s + eps*eps) ** (p/2 - 1)."""
+    t = s * s
+    t += eps * eps
+    t **= 0.5 * p - 1.0
+    t *= p * s
+    return t
 
 
 def _smoothed_sum(
-    p_mat: sparse.csr_matrix, vec: np.ndarray, rows: np.ndarray, p: float, eps: float
+    p_mat: sparse.csr_matrix, vec: np.ndarray, rows: np.ndarray | slice, p: float, eps: float
 ) -> tuple[np.ndarray, float]:
     """Second derivative s = P vec - vec and the smoothed sum of phi(s) over ``rows``."""
-    s = p_mat @ vec - vec
+    s = _matvec(p_mat, vec)
+    s -= vec
     return s, float(_phi(s[rows], p, eps).sum())
 
 
@@ -405,39 +438,6 @@ def _eps_schedule(eps_final: float) -> list[float]:
     return out
 
 
-def _screened_trials(
-    x_free: np.ndarray,
-    g: np.ndarray,
-    s_rows: np.ndarray,
-    m_rows: np.ndarray,
-    obj: float,
-    ladder: np.ndarray,
-    bounds: tuple[float, float],
-    p: float,
-    eps: float,
-) -> Iterator[np.ndarray]:
-    """Free coordinates of the line-search trials worth an exact evaluation.
-
-    Trials come in ladder order, the order halving one step at a time tries
-    them. A trial that leaves the box is yielded clamped; an unclipped one is
-    yielded only when its screen, the linear model s - t * (P d - d) of its
-    second derivative, lowers the smoothed sum below ``obj``. The screen is
-    computed for ``_SCREEN_CHUNK`` step lengths at once; each row sum equals
-    the sum over that one trial bit for bit.
-    """
-    c_l, c_h = bounds
-    for start in range(0, ladder.shape[0], _SCREEN_CHUNK):
-        chunk = ladder[start:start + _SCREEN_CHUNK]
-        raw = x_free - chunk * g
-        clipped = (raw.min(axis=1) < c_l) | (raw.max(axis=1) > c_h)
-        screen = _phi(s_rows - chunk * m_rows, p, eps).sum(axis=1)
-        for k in range(chunk.shape[0]):
-            if clipped[k]:
-                yield raw[k].clip(c_l, c_h)
-            elif screen[k] < obj:
-                yield raw[k]
-
-
 def _pgd_stage(
     x: np.ndarray,
     free_idx: np.ndarray,
@@ -460,11 +460,15 @@ def _pgd_stage(
     accepted steps by construction. ``rows`` indexes the items whose second
     derivative enters the objective.
 
-    The second derivative is linear in R, so unclipped trial steps are first
-    screened on one matvec per direction (see :func:`_screened_trials`), a
-    batch of step lengths at a time; the first screened trial whose exact
-    objective decreases is accepted. The step ladder is built by repeated
-    multiplication, exactly as halving one step at a time builds it.
+    The second derivative is linear in R, so trial steps are first screened
+    on one matvec per direction, ``_SCREEN_CHUNK`` step lengths at a time, in
+    the order halving one step at a time tries them. A trial that leaves the
+    box is evaluated exactly, clamped; an unclipped one only when its screen,
+    the linear model s - t * (P d - d) of its second derivative, lowers the
+    smoothed sum below the current objective. Each row sum of the screen
+    equals the sum over that one trial bit for bit. The first trial whose
+    exact objective decreases is accepted. The step ladder is built by
+    repeated multiplication, exactly as halving one step at a time builds it.
 
     A free coordinate that sits on a bound with its gradient pointing out of
     the box would be clamped back onto that bound at every step length, so
@@ -472,7 +476,9 @@ def _pgd_stage(
     trial that only such a coordinate would have clipped is now screened
     instead of evaluated exactly. Screen and exact sum differ by rounding
     only, so that can change a decision only for a trial whose objective
-    change is itself at rounding level.
+    change is itself at rounding level. That test runs only while a free
+    coordinate may sit on a bound: at the first step, and after a step to a
+    trial that was clamped or touched a bound.
     """
     c_l, c_h = config.bounds
     p = config.p
@@ -480,35 +486,56 @@ def _pgd_stage(
     for _ in range(_MAX_BACKTRACKS - 1):
         steps.append(steps[-1] * config.backtrack_factor)
     ladder = np.array(steps, dtype=np.float64)[:, None]
+    if rows.size == x.size:
+        # every item is a row: a basic slice views where an index array copies
+        rows = slice(None)
 
     s, obj = _smoothed_sum(p_mat, x, rows, p, eps)
     u = np.zeros(x.size)
     delta = np.zeros(x.size)
+    # whether a free coordinate may sit on a bound; unknown before the first step
+    on_bound = True
     iters = 0
     while iters < budget:
         iters += 1
         u[rows] = _phi_grad(s[rows], p, eps)
-        g = (pt_mat @ u - u)[free_idx]
-        if not g.any():
+        g = _matvec(pt_mat, u)
+        g -= u
+        g = g[free_idx]
+        if not np.count_nonzero(g):
             return x, iters, True
         x_free = x[free_idx]
-        # pinned on a bound and pushed outward: clamping undoes any step
-        g[((x_free == c_l) & (g > 0)) | ((x_free == c_h) & (g < 0))] = 0.0
+        if on_bound:
+            # pinned on a bound and pushed outward: clamping undoes any step
+            g[((x_free == c_l) & (g > 0)) | ((x_free == c_h) & (g < 0))] = 0.0
         delta[free_idx] = g
-        m_delta = p_mat @ delta - delta
-        trials = _screened_trials(
-            x_free, g, s[rows], m_delta[rows], obj, ladder, config.bounds, p, eps
-        )
-        for cand_free in trials:
-            cand = x.copy()
-            cand[free_idx] = cand_free
-            s_cand, obj_cand = _smoothed_sum(p_mat, cand, rows, p, eps)
-            if obj_cand < obj:
+        m_delta = _matvec(p_mat, delta)
+        m_delta -= delta
+        s_rows, m_rows = s[rows], m_delta[rows]
+        accepted = False
+        for start in range(0, ladder.shape[0], _SCREEN_CHUNK):
+            chunk = ladder[start:start + _SCREEN_CHUNK]
+            raw = x_free - chunk * g
+            lo, hi = raw.min(axis=1), raw.max(axis=1)
+            clipped = (lo < c_l) | (hi > c_h)
+            lin = chunk * m_rows
+            np.subtract(s_rows, lin, out=lin)
+            screen = _phi(lin, p, eps).sum(axis=1)
+            for k in (clipped | (screen < obj)).nonzero()[0].tolist():
+                cand = x.copy()
+                cand[free_idx] = raw[k].clip(c_l, c_h) if clipped[k] else raw[k]
+                s_cand, obj_cand = _smoothed_sum(p_mat, cand, rows, p, eps)
+                if obj_cand < obj:
+                    accepted = True
+                    break
+            if accepted:
                 break
         else:
             return x, iters, True
         drop = obj - obj_cand
         x, s, obj = cand, s_cand, obj_cand
+        # a clipped trial is clamped onto a bound; an unclipped one can touch it
+        on_bound = lo[k] <= c_l or hi[k] >= c_h
         if drop < rel_tol * max(abs(obj), 1e-300):
             return x, iters, True
     return x, iters, False

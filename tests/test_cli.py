@@ -45,6 +45,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="no_such_knob"):
             ExperimentConfig.from_file(str(path))
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("max_iterations=1e4", "max_iterations expects an int, got '1e4'"),
+            ("threshold=high", "threshold expects a float, got 'high'"),
+        ],
+    )
+    def test_bad_value_names_file_line_and_key(self, tmp_path, line, message):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"# comment\n{line}\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(str(path))
+        assert str(err.value) == f"{path}:2: {message}"
+
     def test_flag_overrides_config(self, tmp_path, capsys, small_dataset):
         path = tmp_path / "exp.cfg"
         ExperimentConfig(

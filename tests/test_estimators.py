@@ -12,6 +12,7 @@ from rategraph import (
     ItemGraph,
     OracleResult,
     SolverConfig,
+    build_item_graph,
     l0_oracle,
     ladder_toy_26,
     predict_hcp,
@@ -20,8 +21,10 @@ from rategraph import (
     second_derivative,
     sfr_gradient,
     sfr_objective,
+    split_ratings,
 )
 from rategraph import estimators
+from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import random_connected_graph, random_observed
 
 
@@ -530,8 +533,34 @@ def _reference_pgd_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, 
     return x, iters, converged
 
 
+def _graph_with_gaps(rng, n, unobserved_component):
+    """Random connected graph on n items plus a degree-0 item and, if asked, a 3-item second component.
+
+    Observations fall on the connected part and sometimes on the degree-0
+    item, so neither that item nor the second component is a row of the
+    objective.
+    """
+    core = random_connected_graph(rng, n)
+    items = list(core.items) + ["lone"]
+    edges = [(core.items[i], core.items[j], w) for i, j, w in core.edges()]
+    if unobserved_component:
+        items += ["j0", "j1", "j2"]
+        edges += [("j0", "j1", 0.6), ("j1", "j2", 0.3)]
+    observed = random_observed(rng, core)
+    if rng.uniform() < 0.5:
+        observed["lone"] = float(rng.uniform(1, 5))
+    return ItemGraph.from_edges(items, edges), observed
+
+
+def _ring_graph(n_users, n_items, density):
+    """A tent-ring training graph and its training ratings, as the benchmark rings build them."""
+    split = split_ratings(tent_ring_dataset(2024, n_users, n_items, density), 0.8, seed=1)
+    return build_item_graph(split.train, threshold=0.9, min_support=3), split.train
+
+
 def _bit_identity_cases():
-    """Criterion-6-style random graphs, the ladder, and one non-default step rule."""
+    """Criterion-6-style random graphs, the ladder, one non-default step rule,
+    graphs whose rows are a strict subset of the items, and one tent-ring user."""
     cases = []
     for seed in range(200):
         rng = np.random.default_rng(40_000 + seed)
@@ -546,6 +575,14 @@ def _bit_identity_cases():
         g = random_connected_graph(rng, int(rng.integers(3, 16)))
         odd = SolverConfig(bounds=(1, 5), initial_step=0.37, backtrack_factor=0.3)
         cases.append((g, random_observed(rng, g), odd))
+    for seed in range(20):
+        rng = np.random.default_rng(42_000 + seed)
+        g, observed = _graph_with_gaps(rng, int(rng.integers(3, 16)), seed % 2 == 1)
+        cases.append((g, observed, SolverConfig(bounds=(1, 5))))
+    graph, train = _ring_graph(120, 40, 0.55)
+    user = int(np.random.default_rng(43_000).integers(len(train.users)))
+    observed = {train.items[i]: r for i, r in train.user_ratings(user).items()}
+    cases.append((graph, observed, SolverConfig(bounds=(1, 5))))
     return cases
 
 
@@ -554,12 +591,14 @@ class TestPgdStageBitIdentity:
         cases = _bit_identity_cases()
         fast = [predict_sfr(g, obs, set(g.items), cfg) for g, obs, cfg in cases]
         on_bound = 0
+        row_subsets = 0
 
-        def counting_reference(x, free_idx, *args):
-            nonlocal on_bound
-            c_l, c_h = args[3].bounds
+        def counting_reference(x, free_idx, rows, *args):
+            nonlocal on_bound, row_subsets
+            c_l, c_h = args[2].bounds
             on_bound += int(np.sum((x[free_idx] == c_l) | (x[free_idx] == c_h)))
-            return _reference_pgd_stage(x, free_idx, *args)
+            row_subsets += rows.size < x.size
+            return _reference_pgd_stage(x, free_idx, rows, *args)
 
         monkeypatch.setattr(estimators, "_pgd_stage", counting_reference)
         for (g, obs, cfg), got in zip(cases, fast):
@@ -570,6 +609,79 @@ class TestPgdStageBitIdentity:
         # the pinned-coordinate path must actually be exercised: some stage
         # starts with a free coordinate already on a bound
         assert on_bound > 0
+        # and some stages must leave items out of the objective's rows
+        assert row_subsets > 0
+
+
+@st.composite
+def _csr_and_vector(draw):
+    """A float64 CSR matrix, possibly with empty rows and unsorted column
+    indices, and a float64 vector of matching length with any float values."""
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(1, 12))
+    indptr, indices = [0], []
+    for _ in range(m):
+        row = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        indices += row
+        indptr.append(len(indices))
+    data = draw(st.lists(st.floats(width=64, allow_nan=False, allow_infinity=False),
+                         min_size=len(indices), max_size=len(indices)))
+    mat = sparse.csr_matrix(
+        (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
+        shape=(m, n),
+    )
+    vec = np.array(draw(st.lists(st.floats(width=64), min_size=n, max_size=n)), dtype=np.float64)
+    return mat, vec
+
+
+def _graph_matrices(graph):
+    return [graph.adjacency, graph.random_walk_matrix(), graph.random_walk_matrix_t()]
+
+
+class TestMatvec:
+    """``_matvec`` must equal scipy's ``mat @ vec`` bit for bit."""
+
+    @given(case=_csr_and_vector())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_on_any_csr(self, case):
+        mat, vec = case
+        got = estimators._matvec(mat, vec)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (mat @ vec).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_equals_scipy_on_graphs_with_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, _ = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        assert np.any(graph.degree == 0)
+        for mat in _graph_matrices(graph):
+            vec = rng.normal(size=graph.item_count) * 10.0 ** rng.integers(-8, 8)
+            assert estimators._matvec(mat, vec).tobytes() == (mat @ vec).tobytes()
+
+    @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)])
+    def test_equals_scipy_on_bench_rings(self, shape):
+        graph, _ = _ring_graph(*shape)
+        rng = np.random.default_rng(7)
+        for mat in _graph_matrices(graph):
+            for vec in (np.ones(graph.item_count), rng.uniform(1, 5, graph.item_count)):
+                assert estimators._matvec(mat, vec).tobytes() == (mat @ vec).tobytes()
+
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            np.full(8, np.nan)[:4],  # one short: the next slots hold NaN a kernel would read
+            np.zeros(6),
+            np.zeros(5, dtype=np.float32),
+            np.zeros(5, dtype=np.int64),
+            np.zeros((5, 1)),
+        ],
+        ids=["short", "long", "float32", "int64", "column"],
+    )
+    def test_rejects_wrong_length_or_dtype(self, vec):
+        mat = sparse.random(3, 5, density=0.6, format="csr", random_state=0)
+        with pytest.raises(ValueError, match="float64 vector of length 5"):
+            estimators._matvec(mat, vec)
 
 
 class TestSolverConfig:
