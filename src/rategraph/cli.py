@@ -45,8 +45,6 @@ class ExperimentConfig:
     smoothing_eps: float = SolverConfig.smoothing_eps
     max_iterations: int = SolverConfig.max_iterations
     objective_rel_tol: float = SolverConfig.objective_rel_tol
-    initial_step: float = SolverConfig.initial_step
-    backtrack_factor: float = SolverConfig.backtrack_factor
     source_tolerance: float = SolverConfig.source_tolerance
     multi_start: int = SolverConfig.multi_start
     methods: str = "knn,hcp,sfr"

@@ -24,7 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import accumulate, combinations, repeat
+from operator import mul
 from typing import Iterable, Optional
 
 import numpy as np
@@ -54,37 +55,47 @@ METHODS = ("knn", "hcp", "sfr", "l0_oracle")
 # the harmonic CG solve stops once every free second derivative is this
 # fraction of the largest observed rating magnitude
 _CG_REL_TOL = 1e-12
-# line search never halves more than this many times per step
+# the line search tries step 0.1 first and halves it, at most 60 times per step
+_INITIAL_STEP = 0.1
+_BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
 # line-search trials screened together; most steps are accepted within the
 # first few halvings, so one batch usually decides a step
 _SCREEN_CHUNK = 8
 # continuation starts smoothing at one rating unit and divides by 10 per stage
 _EPS_START = 1.0
+# extra starts (multi_start > 1) add uniform noise of this half-width to the
+# warm start, drawn from a generator with this seed
+_RESTART_NOISE = 0.5
+_RESTART_SEED = 0
+
+
+def _step_ladder(first: float, factor: float) -> np.ndarray:
+    """The line search's step lengths as a column, built by repeated multiplication."""
+    return np.array(list(accumulate(repeat(factor, _MAX_BACKTRACKS - 1), mul, initial=first)))[:, None]
+
+
+_STEP_LADDER = _step_ladder(_INITIAL_STEP, _BACKTRACK_FACTOR)
 
 
 class ConvergenceError(RuntimeError):
     """An iterative solve failed to reach its residual target."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
-    """Knobs of the sparse-recovery solver; defaults match the experiments."""
+    """Solver settings, checked once on construction; defaults match the experiments."""
 
     bounds: tuple[float, float]
     p: float = 0.5
     smoothing_eps: float = 1e-6
     max_iterations: int = 10_000
     objective_rel_tol: float = 1e-8
-    initial_step: float = 0.1
-    backtrack_factor: float = 0.5
     source_tolerance: float = 1e-3
     # extra perturbed warm starts (the objective is nonconvex); 1 = single start
     multi_start: int = 1
-    multi_start_seed: int = 0
-    multi_start_noise: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         c_l, c_h = self.bounds
         if not c_l < c_h:
             raise ValueError("bounds must satisfy c_l < c_h")
@@ -96,10 +107,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be positive")
         if self.objective_rel_tol <= 0:
             raise ValueError("objective_rel_tol must be positive")
-        if self.initial_step <= 0:
-            raise ValueError("initial_step must be positive")
-        if not 0 < self.backtrack_factor < 1:
-            raise ValueError("backtrack_factor must lie strictly between 0 and 1")
         if self.source_tolerance <= 0:
             raise ValueError("source_tolerance must be positive")
         if self.multi_start < 1:
@@ -383,7 +390,6 @@ def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) ->
     The p-th root is monotone in the sum, so optimization minimizes the sum
     and only reports this norm.
     """
-    config.validate()
     values = np.asarray(values, dtype=np.float64)
     if values.shape != (graph.item_count,):
         raise ValueError("values must have one entry per item")
@@ -412,7 +418,6 @@ def sfr_gradient(
     index. Gradient of sum_k phi((P R - R)_k) with P = D^-1 W: chain rule
     through M = P - I gives M^T phi'(s) restricted to the free coordinates.
     """
-    config.validate()
     free_idx = np.array(
         sorted(graph.item_index[str(name)] for name in free), dtype=np.int64
     )
@@ -452,7 +457,7 @@ def _pgd_stage(
     """Projected gradient descent at one smoothing level.
 
     Each step walks along the analytic gradient with a backtracking line
-    search (halving from ``initial_step`` until the objective decreases) and
+    search (halving from 0.1 until the objective decreases) and
     clamps the free coordinates to the rating bounds. Stops when the relative
     objective decrease falls under ``rel_tol``, when no step length decreases
     the objective, or when the iteration budget runs out; ``converged`` is
@@ -482,10 +487,6 @@ def _pgd_stage(
     """
     c_l, c_h = config.bounds
     p = config.p
-    steps = [config.initial_step]
-    for _ in range(_MAX_BACKTRACKS - 1):
-        steps.append(steps[-1] * config.backtrack_factor)
-    ladder = np.array(steps, dtype=np.float64)[:, None]
     if rows.size == x.size:
         # every item is a row: a basic slice views where an index array copies
         rows = slice(None)
@@ -513,8 +514,8 @@ def _pgd_stage(
         m_delta -= delta
         s_rows, m_rows = s[rows], m_delta[rows]
         accepted = False
-        for start in range(0, ladder.shape[0], _SCREEN_CHUNK):
-            chunk = ladder[start:start + _SCREEN_CHUNK]
+        for start in range(0, _MAX_BACKTRACKS, _SCREEN_CHUNK):
+            chunk = _STEP_LADDER[start:start + _SCREEN_CHUNK]
             raw = x_free - chunk * g
             lo, hi = raw.min(axis=1), raw.max(axis=1)
             clipped = (lo < c_l) | (hi > c_h)
@@ -595,7 +596,6 @@ def predict_sfr(
     result never loses to harmonic interpolation on the final objective.
     Abstention rules are identical to :func:`predict_hcp`.
     """
-    config.validate()
     obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)
     warm_nan, solved = _harmonic_extend(graph, obs_idx, obs_val)
     obs_mask = np.zeros(graph.item_count, dtype=bool)
@@ -616,15 +616,11 @@ def predict_sfr(
     if free_idx.size:
         starts: list[np.ndarray] = [warm]
         if config.multi_start > 1:
-            rng = np.random.Generator(np.random.PCG64(config.multi_start_seed))
+            rng = np.random.Generator(np.random.PCG64(_RESTART_SEED))
             for _ in range(config.multi_start - 1):
                 perturbed = warm.copy()
-                noise = rng.uniform(
-                    -config.multi_start_noise, config.multi_start_noise, free_idx.size
-                )
-                perturbed[free_idx] = np.clip(
-                    perturbed[free_idx] + noise, config.bounds[0], config.bounds[1]
-                )
+                noise = rng.uniform(-_RESTART_NOISE, _RESTART_NOISE, free_idx.size)
+                perturbed[free_idx] = np.clip(perturbed[free_idx] + noise, *config.bounds)
                 starts.append(perturbed)
         for start in starts:
             x, used, conv = _recover(start, free_idx, rows, graph, config)

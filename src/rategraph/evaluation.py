@@ -260,7 +260,6 @@ def evaluate(
     for m in methods:
         if m not in ("knn", "hcp", "sfr"):
             raise ValueError(f"unknown method {m!r}")
-    config.validate()
     train = split.train
 
     # classify every test record (pure, order-independent)

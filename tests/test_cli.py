@@ -45,6 +45,20 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="no_such_knob"):
             ExperimentConfig.from_file(str(path))
 
+    def test_removed_step_keys_rejected(self, tmp_path):
+        # the line search's first step and halving factor are fixed, not settings
+        path = tmp_path / "old.cfg"
+        path.write_text("# written before the step keys were removed\nthreshold=0.9\ninitial_step=0.2\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(str(path))
+        assert str(err.value) == f"{path}:3: unknown config key 'initial_step'"
+
+    def test_removed_step_flag_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--toy", "ladder26", "--backtrack-factor", "0.3"])
+        assert exit_info.value.code == 2
+        assert "--backtrack-factor" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "line, message",
         [

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
@@ -453,15 +455,17 @@ class TestPredictSfr:
         assert len(flags) > 1 and flags[-1]
         assert not rec.diagnostics.converged
 
-    def test_multi_start_is_deterministic(self, square):
-        cfg = SolverConfig(bounds=square.bounds, multi_start=3, multi_start_seed=5)
+    def test_multi_start_is_deterministic(self, square, monkeypatch):
+        monkeypatch.setattr(estimators, "_RESTART_SEED", 5)
+        cfg = SolverConfig(bounds=square.bounds, multi_start=3)
         a = predict_sfr(square.graph, square.observed, {"B", "D"}, cfg)
         b = predict_sfr(square.graph, square.observed, {"B", "D"}, cfg)
         assert a.estimates == b.estimates
 
-    def test_multi_start_never_loses_to_single_start(self, ladder):
+    def test_multi_start_never_loses_to_single_start(self, ladder, monkeypatch):
+        monkeypatch.setattr(estimators, "_RESTART_SEED", 2)
         single = SolverConfig(bounds=ladder.bounds)
-        multi = SolverConfig(bounds=ladder.bounds, multi_start=3, multi_start_seed=2)
+        multi = SolverConfig(bounds=ladder.bounds, multi_start=3)
         one = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), single)
         many = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), multi)
         assert many.diagnostics.final_objective <= one.diagnostics.final_objective + 1e-9
@@ -498,7 +502,7 @@ def _reference_pgd_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, 
         delta = np.zeros(n)
         delta[free_idx] = g
         m_delta = p_mat @ delta - delta
-        step = config.initial_step
+        step = estimators._INITIAL_STEP
         accepted = False
         for _ in range(estimators._MAX_BACKTRACKS):
             raw = x[free_idx] - step * g
@@ -517,11 +521,11 @@ def _reference_pgd_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, 
                     cand[free_idx] = cand_free
                     s_cand, obj_cand = smoothed_sum(cand)
                     if not obj_cand < obj:
-                        step *= config.backtrack_factor
+                        step *= estimators._BACKTRACK_FACTOR
                         continue
                 accepted = True
                 break
-            step *= config.backtrack_factor
+            step *= estimators._BACKTRACK_FACTOR
         if not accepted:
             converged = True
             break
@@ -558,38 +562,49 @@ def _ring_graph(n_users, n_items, density):
     return build_item_graph(split.train, threshold=0.9, min_support=3), split.train
 
 
+_STOCK_STEPS = (estimators._INITIAL_STEP, estimators._BACKTRACK_FACTOR)
+_ODD_STEPS = (0.37, 0.3)
+
+
+def _use_step_rule(monkeypatch, first, factor):
+    """Make the line search start at ``first`` and shrink by ``factor``, for the solver and the reference."""
+    monkeypatch.setattr(estimators, "_INITIAL_STEP", first)
+    monkeypatch.setattr(estimators, "_BACKTRACK_FACTOR", factor)
+    monkeypatch.setattr(estimators, "_STEP_LADDER", estimators._step_ladder(first, factor))
+
+
 def _bit_identity_cases():
     """Criterion-6-style random graphs, the ladder, one non-default step rule,
-    graphs whose rows are a strict subset of the items, and one tent-ring user."""
+    graphs whose rows are a strict subset of the items, and one tent-ring user.
+
+    Each case is (graph, observed, config, (initial step, backtrack factor)).
+    """
     cases = []
     for seed in range(200):
         rng = np.random.default_rng(40_000 + seed)
         g = random_connected_graph(rng, int(rng.integers(3, 16)))
-        cases.append((g, random_observed(rng, g), SolverConfig(bounds=(1, 5))))
+        cases.append((g, random_observed(rng, g), SolverConfig(bounds=(1, 5)), _STOCK_STEPS))
     fix = ladder_toy_26()
-    cases.append((fix.graph, fix.observed, SolverConfig(bounds=fix.bounds)))
-    odd = SolverConfig(bounds=fix.bounds, initial_step=0.37, backtrack_factor=0.3)
-    cases.append((fix.graph, fix.observed, odd))
+    cases.append((fix.graph, fix.observed, SolverConfig(bounds=fix.bounds), _STOCK_STEPS))
+    cases.append((fix.graph, fix.observed, SolverConfig(bounds=fix.bounds), _ODD_STEPS))
     for seed in range(10):
         rng = np.random.default_rng(41_000 + seed)
         g = random_connected_graph(rng, int(rng.integers(3, 16)))
-        odd = SolverConfig(bounds=(1, 5), initial_step=0.37, backtrack_factor=0.3)
-        cases.append((g, random_observed(rng, g), odd))
+        cases.append((g, random_observed(rng, g), SolverConfig(bounds=(1, 5)), _ODD_STEPS))
     for seed in range(20):
         rng = np.random.default_rng(42_000 + seed)
         g, observed = _graph_with_gaps(rng, int(rng.integers(3, 16)), seed % 2 == 1)
-        cases.append((g, observed, SolverConfig(bounds=(1, 5))))
+        cases.append((g, observed, SolverConfig(bounds=(1, 5)), _STOCK_STEPS))
     graph, train = _ring_graph(120, 40, 0.55)
     user = int(np.random.default_rng(43_000).integers(len(train.users)))
     observed = {train.items[i]: r for i, r in train.user_ratings(user).items()}
-    cases.append((graph, observed, SolverConfig(bounds=(1, 5))))
+    cases.append((graph, observed, SolverConfig(bounds=(1, 5)), _STOCK_STEPS))
     return cases
 
 
 class TestPgdStageBitIdentity:
     def test_matches_one_trial_at_a_time_reference(self, monkeypatch):
-        cases = _bit_identity_cases()
-        fast = [predict_sfr(g, obs, set(g.items), cfg) for g, obs, cfg in cases]
+        fast_stage = estimators._pgd_stage
         on_bound = 0
         row_subsets = 0
 
@@ -600,8 +615,11 @@ class TestPgdStageBitIdentity:
             row_subsets += rows.size < x.size
             return _reference_pgd_stage(x, free_idx, rows, *args)
 
-        monkeypatch.setattr(estimators, "_pgd_stage", counting_reference)
-        for (g, obs, cfg), got in zip(cases, fast):
+        for g, obs, cfg, steps in _bit_identity_cases():
+            _use_step_rule(monkeypatch, *steps)
+            monkeypatch.setattr(estimators, "_pgd_stage", fast_stage)
+            got = predict_sfr(g, obs, set(g.items), cfg)
+            monkeypatch.setattr(estimators, "_pgd_stage", counting_reference)
             ref = predict_sfr(g, obs, set(g.items), cfg)
             assert got.estimates == ref.estimates
             assert got.abstentions == ref.abstentions
@@ -611,6 +629,65 @@ class TestPgdStageBitIdentity:
         assert on_bound > 0
         # and some stages must leave items out of the objective's rows
         assert row_subsets > 0
+
+
+class TestPgdStagePinnedCoordinate:
+    """A free coordinate on a bound whose gradient points out of the box is
+    dropped from the step: one step takes the same trial, after as many exact
+    objective evaluations, as with that coordinate fixed."""
+
+    def test_step_and_exact_evaluations_match_the_fixed_coordinate(self, monkeypatch):
+        cfg = SolverConfig(bounds=(1, 5))
+        real = estimators._smoothed_sum
+        calls = 0
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(estimators, "_smoothed_sum", counting)
+
+        def one_step(graph, x, free_idx, eps):
+            nonlocal calls
+            calls = 0
+            p_mat, pt_mat = graph.random_walk_matrix(), graph.random_walk_matrix_t()
+            rows = np.arange(graph.item_count)
+            x_new, _, _ = estimators._pgd_stage(x, free_idx, rows, p_mat, pt_mat, cfg, eps, 1, cfg.objective_rel_tol)
+            return x_new, calls
+
+        cases = screened_out = 0
+        for seed in range(80):
+            rng = np.random.default_rng(44_000 + seed)
+            graph = random_connected_graph(rng, int(rng.integers(4, 10)))
+            n = graph.item_count
+            # nearly flat, so small second derivatives make the first trials overshoot
+            flat = rng.uniform(4.9, 5.0, n)
+            free_idx = np.sort(rng.choice(n, size=int(rng.integers(2, n)), replace=False))
+            for j, eps in itertools.product(free_idx, (0.1, 1e-3)):
+                x = flat.copy()
+                x[j] = 5.0
+                s = graph.random_walk_matrix() @ x - x
+                u = estimators._phi_grad(s, cfg.p, eps)
+                g = graph.random_walk_matrix_t() @ u - u
+                if g[j] >= 0:
+                    continue  # pushed into the box, so the coordinate moves
+                rest = free_idx[free_idx != j]
+                pinned, n_pinned = one_step(graph, x, free_idx, eps)
+                fixed, n_fixed = one_step(graph, x, rest, eps)
+                assert pinned.tobytes() == fixed.tobytes()
+                assert n_pinned == n_fixed
+                cases += 1
+                # ladder position of the accepted trial; every earlier trial
+                # would be evaluated exactly if the pinned coordinate clipped it
+                trials = np.clip(x[rest] - estimators._STEP_LADDER * g[rest], 1, 5)
+                k = next((k for k, t in enumerate(trials) if np.array_equal(t, fixed[rest])), None)
+                if k is not None:
+                    screened_out += (k + 1) - (n_fixed - 1)
+        assert cases > 20
+        # the screen must have spared some exact evaluations, or a stage that
+        # kept the pinned coordinate would pass too
+        assert screened_out > 0
 
 
 @st.composite
@@ -693,8 +770,6 @@ class TestSolverConfig:
             {"smoothing_eps": 0.0},
             {"max_iterations": 0},
             {"objective_rel_tol": 0.0},
-            {"initial_step": 0.0},
-            {"backtrack_factor": 1.0},
             {"source_tolerance": 0.0},
             {"multi_start": 0},
             {"bounds": (5, 1)},
@@ -704,7 +779,18 @@ class TestSolverConfig:
         base = {"bounds": (1, 5)}
         base.update(kwargs)
         with pytest.raises(ValueError):
-            SolverConfig(**base).validate()
+            SolverConfig(**base)
+
+    def test_frozen(self):
+        cfg = SolverConfig(bounds=(1, 5))
+        with pytest.raises(FrozenInstanceError):
+            cfg.p = 0.25
+
+    def test_seven_settings(self):
+        names = [f.name for f in fields(SolverConfig)]
+        assert names == [
+            "bounds", "p", "smoothing_eps", "max_iterations", "objective_rel_tol", "source_tolerance", "multi_start",
+        ]
 
 
 class TestL0Oracle:
