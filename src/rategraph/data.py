@@ -10,11 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice, repeat
-from typing import IO, Iterable, Iterator, Optional, Sequence
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.typing import ArrayLike
-from scipy import sparse
 
 from .graph import ItemGraph
 
@@ -41,8 +40,7 @@ class RatingParseError(ValueError):
         self.lineno = lineno
 
 
-@dataclass(frozen=True)
-class RatingRecord:
+class RatingRecord(NamedTuple):
     user_id: str
     item_id: str
     rating: float
@@ -109,8 +107,7 @@ class RatingMatrix:
         ratings: ArrayLike,
     ) -> "RatingMatrix":
         """One record per position of the three sequences, ids interned in first-occurrence order."""
-        user_index: dict[str, int] = {}
-        item_index: dict[str, int] = {}
+        user_index, item_index = _Ids(), _Ids()
         u = _intern(user_ids, user_index)
         i = _intern(item_ids, item_index)
         return cls(bounds, list(user_index), list(item_index), u, i, ratings)
@@ -178,9 +175,6 @@ class RatingMatrix:
         self._last = (user_idx, rated)
         return rated
 
-    def user_item_matrix(self) -> sparse.csr_matrix:
-        return sparse.csr_matrix((self._r, (self._u, self._i)), shape=(self.n_users, self.n_items))
-
     def global_mean(self) -> float:
         if not self._r.size:
             raise ValueError("empty rating matrix has no mean")
@@ -212,10 +206,16 @@ def _checked_bounds(bounds: tuple[float, float]) -> tuple[float, float]:
     return c_l, c_h
 
 
-def _intern(ids: Sequence[str], index: dict[str, int]) -> np.ndarray:
+class _Ids(dict):
+    """Id -> index map that numbers an id it has not seen when asked for it."""
+
+    def __missing__(self, name: str) -> int:
+        self[name] = index = len(self)
+        return index
+
+
+def _intern(ids: Sequence[str], index: _Ids) -> np.ndarray:
     """Index of each id, adding ids new to ``index`` in first-occurrence order."""
-    for name in dict.fromkeys(ids):
-        index.setdefault(name, len(index))
     return np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
@@ -234,8 +234,10 @@ def _records(matrix: RatingMatrix, keep: slice | np.ndarray) -> Iterator[RatingR
     users, items = matrix.users, matrix.items
     for lo in range(0, r.size, _CHUNK):
         hi = lo + _CHUNK
-        for a, b, c in zip(u[lo:hi].tolist(), i[lo:hi].tolist(), r[lo:hi].tolist()):
-            yield RatingRecord(users[a], items[b], c)
+        # tuple.__new__ builds each record in C; the NamedTuple's own __new__ is Python
+        fields = zip(map(users.__getitem__, u[lo:hi].tolist()), map(items.__getitem__, i[lo:hi].tolist()),
+                     r[lo:hi].tolist(), repeat(None))
+        yield from map(tuple.__new__, repeat(RatingRecord), fields)
 
 
 @dataclass(frozen=True)
@@ -276,8 +278,7 @@ def parse_ratings(
                 raise RatingParseError(lineno, f"bad csv header {text.rstrip()!r}")
             lineno += 1
 
-    user_index: dict[str, int] = {}
-    item_index: dict[str, int] = {}
+    user_index, item_index = _Ids(), _Ids()
     empty = np.empty(0, dtype=np.int64)
     linenos, user_col, item_col, rating_col = [empty], [empty], [empty], [np.empty(0)]
     malformed: Optional[RatingParseError] = None

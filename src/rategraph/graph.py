@@ -19,6 +19,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 if TYPE_CHECKING:  # pragma: no cover
     from .data import RatingMatrix
@@ -37,6 +38,8 @@ __all__ = [
 # Edge weights are quantized to this many decimals so that the TSV edge-list
 # serialization (which writes 12 decimals) is exactly lossless.
 WEIGHT_DECIMALS = 12
+# item columns per block of build_item_graph; bounds its dense work arrays
+_BLOCK = 512
 
 
 class GraphFormatError(ValueError):
@@ -97,20 +100,17 @@ class ItemGraph:
         return cls(items, m)
 
     def _validate(self) -> None:
-        if self.item_count == 0:
-            return
-        coo = self._w.tocoo()
-        if np.any(coo.row == coo.col):
+        w = self._w
+        # stored entries are nonzero, so any on the diagonal is a self-loop
+        if np.any(w.diagonal()):
             raise ValueError("graph has self-loops")
-        if coo.data.size and coo.data.min() <= 0:
+        if w.data.size and w.data.min() <= 0:
             raise ValueError("graph has non-positive edge weights")
-        asym = self._w - self._w.T
-        if asym.nnz and np.max(np.abs(asym.data)) != 0.0:
+        # both sides are sorted CSR, so equal arrays mean W = W^T; a non-finite weight fails here too
+        wt = w.T.tocsr()
+        same = all(map(np.array_equal, (w.indptr, w.indices, w.data), (wt.indptr, wt.indices, wt.data)))
+        if not (same and np.isfinite(w.data).all()):
             raise ValueError("adjacency is not symmetric")
-        resum = np.asarray(self._w.sum(axis=1)).ravel()
-        denom = np.maximum(np.abs(self.degree), 1.0)
-        if np.max(np.abs(resum - self.degree) / denom) > 1e-12:
-            raise ValueError("degree sums inconsistent with stored edges")
 
     # -- accessors ------------------------------------------------------------
 
@@ -239,65 +239,88 @@ def build_item_graph(
     strictly above ``threshold``; its weight is the correlation. Items
     without qualifying edges remain as isolated degree-0 nodes.
 
-    All item pairs are scanned with blocked sparse matrix products; the
-    result is identical to calling :func:`pearson_similarity` pairwise.
+    All item pairs are scanned in blocks of columns, each from six
+    co-rating sums made by :func:`_dense_product`; the result is identical
+    to calling :func:`pearson_similarity` pairwise.
     """
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie strictly between 0 and 1")
     if min_support < 2:
         raise ValueError("min_support must be at least 2")
-    n_items = train.n_items
-    x = train.user_item_matrix().tocsc()
-    b = x.copy()
-    b.data = np.ones_like(b.data)
-    x2 = x.copy()
-    x2.data = x2.data**2
+    n_items, n_users = train.n_items, train.n_users
+    u, i, r = train.arrays()
+    values = (np.ones(r.size), r, r * r)
 
-    xt, bt, x2t = x.T.tocsr(), b.T.tocsr(), x2.T.tocsr()
+    def channels(keep: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> list:
+        """One CSR matrix per value channel (1, r, r^2) holding entries ``keep`` at ``cols``, row by row."""
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
+        ones = sparse.csr_matrix((values[0][keep], cols, indptr), shape=shape)
+        return [ones] + [sparse.csr_matrix((v[keep], ones.indices, ones.indptr), shape=shape) for v in values[1:]]
 
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    block = max(1, min(512, n_items))
+    # item-major rows with users ascending: the order in which ``@`` sums each product entry
+    by_item = np.argsort(i * n_users + u)
+    b_t, x_t, x2_t = channels(by_item, i, u[by_item], (n_items, n_users))
+    by_user = np.argsort(u * n_items + i)
+    found = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
+    block = max(1, min(_BLOCK, n_items))
     for lo in range(0, n_items, block):
         hi = min(lo + block, n_items)
-        bj = b[:, lo:hi]
-        xj = x[:, lo:hi]
-        x2j = x2[:, lo:hi]
-        n_co = (bt @ bj).toarray()
-        s_i = (xt @ bj).toarray()
-        s_j = (bt @ xj).toarray()
-        q_i = (x2t @ bj).toarray()
-        q_j = (bt @ x2j).toarray()
-        c_ij = (xt @ xj).toarray()
+        in_block = by_user[(i[by_user] >= lo) & (i[by_user] < hi)]
+        b_j, x_j, x2_j = channels(in_block, u[in_block], i[in_block] - lo, (n_users, hi - lo))
+        # only rows i < hi can pair with the block (i < j); a product row holds
+        # at most hi - lo entries, so one buffer serves all six products
+        cj, cx = np.empty(hi * (hi - lo), dtype=b_t.indices.dtype), np.empty(hi * (hi - lo))
+        pairs = ((b_t, b_j), (x_t, b_j), (b_t, x_j), (x2_t, b_j), (b_t, x2_j), (x_t, x_j))
+        n_co, s_i, s_j, q_i, q_j, c_ij = (_dense_product(a, b, hi, cj, cx) for a, b in pairs)
+        del cj, cx
+        # num = n_co*c_ij - s_i*s_j, var = n_co*q - s^2 and corr = num/sqrt(var_i*var_j),
+        # the same operations on the same operands, in place
+        ok = n_co >= min_support
+        for v in (c_ij, q_i, q_j):
+            v *= n_co
+        c_ij -= np.multiply(s_i, s_j, out=n_co)
+        q_i -= np.square(s_i, out=s_i)
+        q_j -= np.square(s_j, out=s_j)
+        ok &= (q_i > 0) & (q_j > 0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            num = n_co * c_ij - s_i * s_j
-            var_i = n_co * q_i - s_i**2
-            var_j = n_co * q_j - s_j**2
-            corr = num / np.sqrt(var_i * var_j)
-        ok = (n_co >= min_support) & (var_i > 0) & (var_j > 0)
-        ok &= np.isfinite(corr) & (corr > threshold)
-        # keep each undirected pair once (global row index < column index)
-        gi, gj = np.nonzero(ok)
-        keep = gi < (gj + lo)
-        gi, gj = gi[keep], gj[keep]
-        if gi.size:
-            rows.append(gi)
-            cols.append(gj + lo)
-            vals.append(np.round(corr[gi, gj], WEIGHT_DECIMALS))
+            c_ij /= np.sqrt(np.multiply(q_i, q_j, out=s_i), out=s_i)
+        ok &= np.isfinite(c_ij) & (c_ij > threshold)
+        gi, gj = np.nonzero(np.triu(ok, 1 - lo))  # each undirected pair once: global i < j
+        found.append((gi, gj + lo, np.round(c_ij[gi, gj], WEIGHT_DECIMALS)))
+        del n_co, s_i, s_j, q_i, q_j, c_ij  # before the next block's products
 
-    if rows:
-        i = np.concatenate(rows)
-        j = np.concatenate(cols)
-        w = np.concatenate(vals)
-    else:
-        i = j = np.empty(0, dtype=np.int64)
-        w = np.empty(0)
-    m = sparse.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))),
-        shape=(n_items, n_items),
-    )
+    rows, cols, w = map(np.concatenate, zip(*found))
+    m = sparse.csr_matrix((np.concatenate([w, w]), (np.concatenate([rows, cols]), np.concatenate([cols, rows]))),
+                          shape=(n_items, n_items))
     return ItemGraph(train.items, m)
+
+
+def _dense_product(
+    a: sparse.csr_matrix, b: sparse.csr_matrix, rows: int, cj: np.ndarray, cx: np.ndarray
+) -> np.ndarray:
+    """``(a[:rows] @ b).toarray()`` for float64 CSR matrices, the same bit for bit.
+
+    Calls the compiled kernels that ``@`` and ``toarray`` run, so each entry is
+    summed over ``a``'s row in stored order, as there, but skips the structure
+    pass that sizes ``@``'s output: a product row has at most ``b.shape[1]``
+    entries, so ``cj`` and ``cx`` need ``rows * b.shape[1]`` slots. The
+    kernels trust their sizes and write into those buffers, so a wrong shape,
+    dtype or a short buffer raises here.
+    """
+    n_col, idx = b.shape[1], a.indices.dtype
+    if not (
+        a.format == b.format == "csr" and a.shape[1] == b.shape[0] and 0 <= rows <= a.shape[0]
+        and a.dtype == b.dtype == cx.dtype == np.float64
+        and all(v.dtype == idx for v in (a.indptr, b.indptr, b.indices, cj))
+        and all(v.ndim == 1 and v.flags.c_contiguous and v.flags.writeable for v in (cj, cx))
+        and rows * n_col <= min(cj.size, cx.size, np.iinfo(idx).max)
+    ):
+        raise ValueError(f"product needs float64 CSR operands of one index dtype and {rows * n_col}-slot buffers")
+    cp = np.empty(rows + 1, dtype=idx)
+    _sparsetools.csr_matmat(rows, n_col, a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, cp, cj, cx)
+    out = np.zeros((rows, n_col))
+    _sparsetools.csr_todense(rows, n_col, cp, cj, cx, out)
+    return out
 
 
 def second_derivative(

@@ -10,6 +10,7 @@ from rategraph import data as data_module
 from rategraph import (
     RatingMatrix,
     RatingParseError,
+    RatingRecord,
     parse_ratings,
     split_ratings,
     second_derivative,
@@ -392,3 +393,73 @@ class TestLadderToy:
         assert np.max(np.abs(field.values[interior])) < 1e-9
         # exactly two sources
         assert set(field.sources()) == {v1, v26}
+
+
+def _two_pass_intern(ids, index):
+    """The interning ``_intern`` replaced: add the new ids in first-occurrence order, then look each one up."""
+    for name in dict.fromkeys(ids):
+        index.setdefault(name, len(index))
+    return [index[name] for name in ids]
+
+
+_ID_CHUNKS = st.lists(st.lists(st.sampled_from(["a", "b", "c", "07", "7", "x:y", "é"]), max_size=12), max_size=6)
+
+
+class TestInterning:
+    """One-pass interning numbers ids exactly as the two-pass code did."""
+
+    @given(chunks=_ID_CHUNKS)
+    @settings(max_examples=200, deadline=None)
+    def test_intern_matches_two_pass_across_chunks(self, chunks):
+        index, want_index = data_module._Ids(), {}
+        for ids in chunks:
+            got = data_module._intern(ids, index)
+            assert got.dtype == np.int64
+            assert got.tolist() == _two_pass_intern(ids, want_index)
+        assert list(index.items()) == list(want_index.items())
+
+    @given(chunks=_ID_CHUNKS, items=st.lists(st.integers(0, 4).map(str), max_size=72))
+    @settings(max_examples=200, deadline=None)
+    def test_from_ids_matches_two_pass(self, chunks, items):
+        pairs = list(dict.fromkeys(zip([u for ids in chunks for u in ids], items)))
+        users = [u for u, _ in pairs]
+        names = [i for _, i in pairs]
+        m = RatingMatrix.from_ids((1, 5), users, names, [3.0] * len(pairs))
+        want_users, want_items = {}, {}
+        u_col, i_col = _two_pass_intern(users, want_users), _two_pass_intern(names, want_items)
+        assert (m.users, m.items) == (list(want_users), list(want_items))
+        assert [c.tolist() for c in m.arrays()[:2]] == [u_col, i_col]
+
+    @given(chunks=_ID_CHUNKS, chunk=st.integers(1, 5))
+    @settings(max_examples=200, deadline=None)
+    def test_parse_numbers_ids_recurring_across_chunks(self, chunks, chunk):
+        users = [u for ids in chunks for u in ids]
+        # every record names a fresh item, so a user id recurs across parse chunks without repeating a pair
+        lines = [f"{user},i{k % 3}-{k},4\n" for k, user in enumerate(users)]
+        with mock.patch.object(data_module, "_CHUNK", chunk):
+            m = parse_ratings(io.StringIO("user,item,rating\n" + "".join(lines)), "csv", (1, 5))
+        want_users, want_items = {}, {}
+        u_col = _two_pass_intern(users, want_users)
+        i_col = _two_pass_intern([line.split(",")[1] for line in lines], want_items)
+        assert (m.users, m.items) == (list(want_users), list(want_items))
+        assert [c.tolist() for c in m.arrays()[:2]] == [u_col, i_col]
+
+
+class TestRatingRecord:
+    def test_named_tuple_with_same_fields_and_default(self):
+        rec = RatingRecord("u", "x", 4.5)
+        assert isinstance(rec, tuple) and RatingRecord._fields == ("user_id", "item_id", "rating", "timestamp")
+        assert (rec.user_id, rec.item_id, rec.rating, rec.timestamp) == ("u", "x", 4.5, None)
+        assert RatingRecord("u", "x", 4.5, 7).timestamp == 7
+
+    def test_immutable(self):
+        rec = RatingRecord("u", "x", 4.5)
+        with pytest.raises(AttributeError):
+            rec.rating = 1.0
+
+    def test_records_are_rating_records(self):
+        m = RatingMatrix.from_ids((1, 5), ["b", "a", "b"], ["y", "x", "x"], [1, 2, 3.5])
+        got = list(m.records())
+        assert all(type(rec) is RatingRecord for rec in got)
+        assert got == [RatingRecord("b", "y", 1.0), RatingRecord("a", "x", 2.0), RatingRecord("b", "x", 3.5)]
+        assert [rec.timestamp for rec in got] == [None] * 3

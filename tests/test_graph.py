@@ -5,7 +5,9 @@ import pytest
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from rategraph import graph as graph_module
 from rategraph import (
     GraphFormatError,
     ItemGraph,
@@ -15,7 +17,10 @@ from rategraph import (
     pearson_similarity,
     second_derivative,
     serialize_graph,
+    split_ratings,
 )
+from rategraph.graph import _dense_product
+from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import random_connected_graph, random_rating_matrix
 
 
@@ -282,3 +287,248 @@ class TestSerialization:
         text = "a\tb\t0.5\nb\ta\t0.5\n"
         with pytest.raises(GraphFormatError, match="duplicate"):
             parse_graph(io.StringIO(text))
+
+
+# -- the graph build's product kernel, and the build against the six-product reference
+
+
+@st.composite
+def _csr_pairs(draw):
+    """CSR operands ``a`` (m x k) and ``b`` (k x n), 0-7 each way, and a row count of ``a``.
+
+    Entries may be stored zeros or -0.0, rows and columns may be empty, and
+    either operand may store its rows in descending column order.
+    """
+    m, k, n = (draw(st.integers(0, 7)) for _ in range(3))
+
+    def operand(shape):
+        cells = shape[0] * shape[1]
+        mask = np.array(draw(st.lists(st.booleans(), min_size=cells, max_size=cells)), dtype=bool).reshape(shape)
+        values = draw(st.lists(st.floats(-1e3, 1e3), min_size=int(mask.sum()), max_size=int(mask.sum())))
+        mat = sparse.csr_matrix((np.array(values, dtype=np.float64), np.nonzero(mask)), shape=shape)
+        if draw(st.booleans()):
+            for row in range(shape[0]):
+                lo, hi = mat.indptr[row], mat.indptr[row + 1]
+                mat.indices[lo:hi] = mat.indices[lo:hi][::-1].copy()
+                mat.data[lo:hi] = mat.data[lo:hi][::-1].copy()
+            mat.has_sorted_indices = False
+        return mat
+
+    return operand((m, k)), operand((k, n)), draw(st.integers(0, m))
+
+
+class TestDenseProduct:
+    @given(pair=_csr_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy_product_byte_for_byte(self, pair):
+        a, b, rows = pair
+        want = (a[:rows] @ b).toarray()
+        slots = rows * b.shape[1]
+        got = _dense_product(a, b, rows, np.empty(slots, dtype=a.indices.dtype), np.empty(slots))
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_rejects_bad_operands_and_buffers(self):
+        a = sparse.random(4, 3, density=0.6, format="csr", random_state=0)
+        b = sparse.random(3, 5, density=0.6, format="csr", random_state=1)
+        idx = a.indices.dtype
+        other_idx = np.int64 if idx == np.int32 else np.int32
+        cj, cx = np.empty(20, dtype=idx), np.empty(20)
+        assert _dense_product(a, b, 4, cj, cx).tobytes() == (a @ b).toarray().tobytes()
+        wide_b = b.copy()
+        wide_b.indptr, wide_b.indices = wide_b.indptr.astype(other_idx), wide_b.indices.astype(other_idx)
+        read_only = np.empty(20)
+        read_only.flags.writeable = False
+        spare = np.full(20, np.nan)
+        cases = {
+            "short index buffer": (a, b, 4, cj[:19], cx),
+            "short value buffer": (a, b, 4, cj, spare[:19]),
+            "float32 values": (a, b, 4, cj, np.empty(20, dtype=np.float32)),
+            "index buffer dtype": (a, b, 4, np.empty(20, dtype=other_idx), cx),
+            "operand index dtype": (a, wide_b, 4, cj, cx),
+            "float32 operand": (a.astype(np.float32), b, 4, cj, cx),
+            "csc operand": (a.tocsc(), b, 4, cj, cx),
+            "shapes do not chain": (a, b.T.tocsr(), 4, cj, cx),
+            "too many rows": (a, b, 5, np.empty(25, dtype=idx), np.empty(25)),
+            "negative rows": (a, b, -1, cj, cx),
+            "strided buffer": (a, b, 4, cj, np.empty(40)[::2]),
+            "read-only buffer": (a, b, 4, cj, read_only),
+            "2-d buffer": (a, b, 4, cj, np.empty((4, 5))),
+        }
+        for name, args in cases.items():
+            with pytest.raises(ValueError, match="product needs"):
+                _dense_product(*args)
+        assert np.isnan(spare).all()
+
+
+def _reference_build_item_graph(train, threshold, min_support=3):
+    """The build that ``build_item_graph`` replaced: six scipy ``@`` products per block of 512 columns."""
+    n_items = train.n_items
+    u, i, r = train.arrays()
+    x = sparse.csr_matrix((r, (u, i)), shape=(train.n_users, n_items)).tocsc()
+    b = x.copy()
+    b.data = np.ones_like(b.data)
+    x2 = x.copy()
+    x2.data = x2.data**2
+    xt, bt, x2t = x.T.tocsr(), b.T.tocsr(), x2.T.tocsr()
+    rows, cols, vals = [], [], []
+    block = max(1, min(512, n_items))
+    for lo in range(0, n_items, block):
+        hi = min(lo + block, n_items)
+        bj, xj, x2j = b[:, lo:hi], x[:, lo:hi], x2[:, lo:hi]
+        n_co = (bt @ bj).toarray()
+        s_i = (xt @ bj).toarray()
+        s_j = (bt @ xj).toarray()
+        q_i = (x2t @ bj).toarray()
+        q_j = (bt @ x2j).toarray()
+        c_ij = (xt @ xj).toarray()
+        with np.errstate(invalid="ignore", divide="ignore"):
+            num = n_co * c_ij - s_i * s_j
+            var_i = n_co * q_i - s_i**2
+            var_j = n_co * q_j - s_j**2
+            corr = num / np.sqrt(var_i * var_j)
+        ok = (n_co >= min_support) & (var_i > 0) & (var_j > 0)
+        ok &= np.isfinite(corr) & (corr > threshold)
+        gi, gj = np.nonzero(ok)
+        keep = gi < (gj + lo)
+        gi, gj = gi[keep], gj[keep]
+        rows.append(gi)
+        cols.append(gj + lo)
+        vals.append(np.round(corr[gi, gj], 12))
+    i = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    j = np.concatenate(cols) if cols else np.empty(0, dtype=np.int64)
+    w = np.concatenate(vals) if vals else np.empty(0)
+    m = sparse.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([i, j]), np.concatenate([j, i]))), shape=(n_items, n_items)
+    )
+    return ItemGraph(train.items, m)
+
+
+def _assert_same_bytes(got, want):
+    assert got.items == want.items
+    for name in ("indptr", "indices", "data"):
+        g, w = getattr(got.adjacency, name), getattr(want.adjacency, name)
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+
+
+def _seeded_case(seed):
+    """A shuffled rating matrix with negative or zero ratings, ties, a constant and a lone column, and its settings."""
+    rng = np.random.default_rng(seed)
+    n_users, n_items = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+    lo = float(rng.choice([-5.0, -1.0, 0.0, 1.0]))
+    hi = lo + float(rng.choice([1.0, 4.0]))
+    mask = rng.uniform(size=(n_users, n_items)) < rng.uniform(0.05, 1.0)
+    ratings = rng.uniform(lo, hi, size=(n_users, n_items)).round(int(rng.integers(0, 3)))
+    if n_items >= 3:
+        ratings[:, 1] = ratings[0, 1]  # a constant column
+        mask[:, 2] = np.arange(n_users) == 0  # an item with one rater: isolated
+    uu, ii = np.nonzero(mask)
+    order = rng.permutation(uu.size)
+    names = [f"u{k}" for k in range(n_users)], [f"i{k}" for k in range(n_items)]
+    m = RatingMatrix((lo, hi), *names, uu[order], ii[order], ratings[uu, ii][order])
+    threshold = float(rng.choice([1e-9, rng.uniform(0.05, 0.95)]))
+    return m, threshold, int(rng.integers(2, 6))
+
+
+class TestBuildMatchesSixProductReference:
+    """build_item_graph against the six-product build it replaced, byte for byte."""
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 512])
+    def test_seeded_matrices(self, block, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+        edges = 0
+        for seed in range(60):
+            m, threshold, min_support = _seeded_case(seed)
+            got = build_item_graph(m, threshold, min_support)
+            _assert_same_bytes(got, _reference_build_item_graph(m, threshold, min_support))
+            edges += got.edge_count
+        assert edges > 0
+
+    @pytest.mark.parametrize("min_support, edges", [(2, 1), (3, 1), (4, 0)])
+    def test_min_support_boundary(self, min_support, edges):
+        # x and y share exactly three raters, over whom they correlate perfectly
+        cols = {
+            "x": {"u1": 1.0, "u2": 2.0, "u3": 4.0, "u4": 5.0},
+            "y": {"u1": 1.0, "u2": 2.0, "u3": 4.0, "u5": 3.0},
+        }
+        m = _matrix_from_columns(cols)
+        got = build_item_graph(m, 0.5, min_support)
+        assert got.edge_count == edges
+        _assert_same_bytes(got, _reference_build_item_graph(m, 0.5, min_support))
+
+    @pytest.mark.parametrize("block", [64, 512])
+    @pytest.mark.parametrize("n_users, n_items, density", [(120, 40, 0.55), (400, 200, 0.3)])
+    def test_bench_rings(self, n_users, n_items, density, block, monkeypatch):
+        monkeypatch.setattr(graph_module, "_BLOCK", block)
+        train = split_ratings(tent_ring_dataset(2024, n_users, n_items, density), 0.8, 1).train
+        got = build_item_graph(train, 0.9, 3)
+        assert got.edge_count > n_items
+        _assert_same_bytes(got, _reference_build_item_graph(train, 0.9, 3))
+
+
+# -- ItemGraph's checks against the ones it ran with a sparse subtraction
+
+
+def _reference_rejection(items, matrix):
+    """The message ItemGraph gave for ``matrix`` when it tested symmetry with W - W^T, or None."""
+    n = len(items)
+    w = matrix.tocsr().astype(np.float64)
+    w.sort_indices()
+    w.eliminate_zeros()
+    if n == 0:
+        return None
+    coo = w.tocoo()
+    if np.any(coo.row == coo.col):
+        return "graph has self-loops"
+    if coo.data.size and coo.data.min() <= 0:
+        return "graph has non-positive edge weights"
+    asym = w - w.T
+    if asym.nnz and np.max(np.abs(asym.data)) != 0.0:
+        return "adjacency is not symmetric"
+    return None
+
+
+def _rejection(items, matrix):
+    try:
+        ItemGraph(items, matrix)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+_WEIGHTS = st.sampled_from([0.0, -0.0, 0.5, float(np.nextafter(0.5, 1.0)), 1.0, 2.5, -1.0, np.nan, np.inf, -np.inf])
+
+
+class TestItemGraphChecks:
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            ({(0, 1): 0.5, (1, 0): float(np.nextafter(0.5, 1.0))}, "not symmetric"),
+            ({(0, 1): 0.5}, "not symmetric"),
+            ({(0, 1): np.nan, (1, 0): np.nan}, "not symmetric"),
+            ({(0, 1): np.inf, (1, 0): np.inf}, "not symmetric"),
+            ({(0, 0): 1.0, (0, 1): 0.5, (1, 0): 0.5}, "self-loops"),
+            ({(0, 1): -0.5, (1, 0): -0.5}, "non-positive"),
+            ({(0, 1): 0.5, (1, 0): 0.5, (1, 2): 2.0, (2, 1): 2.0}, None),
+        ],
+    )
+    def test_same_inputs_rejected(self, entries, message):
+        rows, cols = zip(*entries)
+        matrix = sparse.csr_matrix((list(entries.values()), (rows, cols)), shape=(3, 3))
+        got = _rejection("abc", matrix)
+        assert got == _reference_rejection("abc", matrix)
+        assert (got is None) if message is None else (message in got)
+
+    # degree sums over +inf and -inf weights warn before the checks reject them
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @given(n=st.integers(0, 5), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_same_message_as_subtraction(self, n, data):
+        dense = np.array(data.draw(st.lists(_WEIGHTS, min_size=n * n, max_size=n * n)), dtype=np.float64).reshape(n, n)
+        if data.draw(st.booleans()):
+            dense = np.triu(dense, 1) + np.triu(dense, 1).T
+        if data.draw(st.booleans()) and n:
+            dense[data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))] = data.draw(_WEIGHTS)
+        matrix = sparse.csr_matrix(dense)
+        items = [f"i{k}" for k in range(n)]
+        assert _rejection(items, matrix) == _reference_rejection(items, matrix)
