@@ -221,8 +221,10 @@ def _intern(ids: Sequence[str], index: _Ids) -> np.ndarray:
 
 def _reindex(codes: np.ndarray, names: list[str]) -> tuple[np.ndarray, list[str]]:
     """``codes`` renumbered 0.. in first-occurrence order, and the names they keep."""
-    present, first = np.unique(codes, return_index=True)
-    kept = present[np.argsort(first)]
+    first = np.full(len(names), codes.size)
+    np.minimum.at(first, codes, np.arange(codes.size))
+    kept = np.flatnonzero(first < codes.size)
+    kept = kept[np.argsort(first[kept])]  # first positions are distinct, so any sort gives one order
     renumber = np.empty(len(names), dtype=np.int64)
     renumber[kept] = np.arange(kept.size)
     return renumber[codes], [names[k] for k in kept.tolist()]
@@ -318,27 +320,10 @@ def _tokenise(
     raising it, so that a bad record earlier in the file can be reported
     first. Timestamps are checked and dropped.
     """
-    lines = list(map(str.rstrip, chunk, repeat("\n")))
-    widths = set(map(str.count, lines, repeat(sep)))
-    if widths == {2} or widths == {3}:
-        # Common case: no blank line and one field count. The fields are cut
-        # out of one joined string, which makes no per-line list; any
-        # failure falls through to the line-by-line pass, which locates it.
-        k = widths.pop() + 1
-        fields = "\n".join(lines).replace(sep, "\n").split("\n")
-        if len(fields) == k * len(lines):
-            users, items = fields[0::k], fields[1::k]
-            if "" not in users and "" not in items:
-                try:
-                    ratings = list(map(float, fields[2::k]))
-                    if k == 4:
-                        list(map(int, filter(None, fields[3::k])))
-                except ValueError:
-                    pass
-                else:
-                    numbers = np.arange(first_lineno, first_lineno + len(lines), dtype=np.int64)
-                    return numbers, users, items, ratings, None
-
+    fields = _fast_fields(chunk, sep)
+    if fields is not None:
+        return np.arange(first_lineno, first_lineno + len(chunk), dtype=np.int64), *fields, None
+    lines = map(str.rstrip, chunk, repeat("\n"))
     numbers, users, items, ratings = [], [], [], []
     for lineno, line in enumerate(lines, start=first_lineno):
         if not line:
@@ -352,6 +337,36 @@ def _tokenise(
         items.append(parts[1])
         ratings.append(float(parts[2]))
     return np.array(numbers, dtype=np.int64), users, items, ratings, None
+
+
+def _fast_fields(chunk: list[str], sep: str) -> Optional[tuple[list[str], list[str], list[float]]]:
+    """User ids, item ids and ratings of a chunk of good records of one field count, or None.
+
+    The lines are as a text stream yields them. Their separators are counted
+    in one numpy pass over the chunk's text, and the fields cut out of it. A
+    blank line, mixed field counts, a bad field or a '\\r' (where a line may
+    end without '\\n') gives None: the line-by-line pass locates the error.
+    """
+    text = "".join(chunk).rstrip("\n")
+    raw = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    breaks = np.flatnonzero(raw == ord("\n"))
+    if "\r" in text or breaks.size != len(chunk) - 1:
+        return None
+    # a run of m separator characters holds m // len(sep) separators, as str.count and str.split find them
+    edges = np.flatnonzero(np.diff(raw == ord(sep[0]), prepend=False, append=False))
+    counts = np.bincount(np.searchsorted(breaks, edges[0::2]), np.diff(edges)[0::2] // len(sep), len(chunk))
+    k = int(counts[0]) + 1
+    if k not in (3, 4) or (counts != k - 1).any():
+        return None
+    fields = text.replace(sep, "\n").split("\n")
+    users, items = fields[0::k], fields[1::k]
+    try:
+        ratings = list(map(float, fields[2::k]))
+        if k == 4:
+            list(map(int, filter(None, fields[3::k])))
+    except ValueError:
+        return None
+    return None if "" in users or "" in items else (users, items, ratings)
 
 
 def _malformed(lineno: int, parts: list[str]) -> Optional[RatingParseError]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import IO, Optional, Sequence
 
@@ -286,6 +285,7 @@ def evaluate(
 
     ctx = _EvalContext(graph, train, task_list, tuple(methods), config, global_mean)
     if jobs > 1 and len(task_list) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, so jobs=1 never loads multiprocessing
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(ctx,)
         ) as pool:

@@ -67,9 +67,10 @@ class ItemGraph:
         self.item_index: dict[str, int] = {name: k for k, name in enumerate(self.items)}
         if len(self.item_index) != n:
             raise ValueError("duplicate item names")
+        # checked before the degree sum, which would warn on a row holding +inf and -inf
+        self._validate()
         self.degree: np.ndarray = np.asarray(w.sum(axis=1)).ravel()
         self.degree.setflags(write=False)
-        self._validate()
         # lazy caches (random-walk matrix, transpose, component labels)
         self._p: Optional[sparse.csr_matrix] = None
         self._pt: Optional[sparse.csr_matrix] = None
@@ -239,9 +240,9 @@ def build_item_graph(
     strictly above ``threshold``; its weight is the correlation. Items
     without qualifying edges remain as isolated degree-0 nodes.
 
-    All item pairs are scanned in blocks of columns, each from six
-    co-rating sums made by :func:`_dense_product`; the result is identical
-    to calling :func:`pearson_similarity` pairwise.
+    All item pairs are scanned in blocks of columns, each from co-rating
+    sums made by :func:`_dense_product`; the result is identical to calling
+    :func:`pearson_similarity` pairwise.
     """
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie strictly between 0 and 1")
@@ -249,30 +250,36 @@ def build_item_graph(
         raise ValueError("min_support must be at least 2")
     n_items, n_users = train.n_items, train.n_users
     u, i, r = train.arrays()
-    values = (np.ones(r.size), r, r * r)
+    block = max(1, min(_BLOCK, n_items))
+    # one index dtype for operands and buffers: int32 when every index and offset fits, as scipy picks
+    idx = np.int32 if max(r.size, n_users, n_items * block) <= np.iinfo(np.int32).max else np.int64
 
-    def channels(keep: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]) -> list:
-        """One CSR matrix per value channel (1, r, r^2) holding entries ``keep`` at ``cols``, row by row."""
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=shape[0]))))
-        ones = sparse.csr_matrix((values[0][keep], cols, indptr), shape=shape)
-        return [ones] + [sparse.csr_matrix((v[keep], ones.indices, ones.indptr), shape=shape) for v in values[1:]]
+    def channels(keep: np.ndarray, rows: np.ndarray, cols: np.ndarray, n_rows: int) -> tuple:
+        """CSR indptr and indices of entries ``keep`` at ``cols``, row by row, and their values 1, r and r^2."""
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n_rows)))).astype(idx)
+        x = r[keep]
+        return indptr, cols.astype(idx), (np.ones(x.size), x, x * x)
 
     # item-major rows with users ascending: the order in which ``@`` sums each product entry
     by_item = np.argsort(i * n_users + u)
-    b_t, x_t, x2_t = channels(by_item, i, u[by_item], (n_items, n_users))
+    t_ptr, t_ind, (b_t, x_t, x2_t) = channels(by_item, i, u[by_item], n_items)
     by_user = np.argsort(u * n_items + i)
     found = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),)]
-    block = max(1, min(_BLOCK, n_items))
     for lo in range(0, n_items, block):
         hi = min(lo + block, n_items)
         in_block = by_user[(i[by_user] >= lo) & (i[by_user] < hi)]
-        b_j, x_j, x2_j = channels(in_block, u[in_block], i[in_block] - lo, (n_users, hi - lo))
+        j_ptr, j_ind, (b_j, x_j, x2_j) = channels(in_block, u[in_block], i[in_block] - lo, n_users)
         # only rows i < hi can pair with the block (i < j); a product row holds
-        # at most hi - lo entries, so one buffer serves all six products
-        cj, cx = np.empty(hi * (hi - lo), dtype=b_t.indices.dtype), np.empty(hi * (hi - lo))
-        pairs = ((b_t, b_j), (x_t, b_j), (b_t, x_j), (x2_t, b_j), (b_t, x2_j), (x_t, x_j))
-        n_co, s_i, s_j, q_i, q_j, c_ij = (_dense_product(a, b, hi, cj, cx) for a, b in pairs)
+        # at most hi - lo entries, so one buffer serves every product
+        cj, cx = np.empty(hi * (hi - lo), dtype=idx), np.empty(hi * (hi - lo))
+        # sum r_j and sum r_j^2 over rows i < lo; on the diagonal square they are the transposes of
+        # sum r_i and sum r_i^2, each entry adding the same values over the same users in the same order
+        specs = ((b_t, b_j, hi), (x_t, b_j, hi), (x2_t, b_j, hi), (x_t, x_j, hi), (b_t, x_j, lo), (b_t, x2_j, lo))
+        n_co, s_i, q_i, c_ij, s_j, q_j = (_dense_product((t_ptr, t_ind, a), (j_ptr, j_ind, b), hi - lo, rows, cj, cx)
+                                          for a, b, rows in specs)
         del cj, cx
+        s_j = np.concatenate((s_j, s_i[lo:].T))
+        q_j = np.concatenate((q_j, q_i[lo:].T))
         # num = n_co*c_ij - s_i*s_j, var = n_co*q - s^2 and corr = num/sqrt(var_i*var_j),
         # the same operations on the same operands, in place
         ok = n_co >= min_support
@@ -295,29 +302,31 @@ def build_item_graph(
     return ItemGraph(train.items, m)
 
 
-def _dense_product(
-    a: sparse.csr_matrix, b: sparse.csr_matrix, rows: int, cj: np.ndarray, cx: np.ndarray
-) -> np.ndarray:
-    """``(a[:rows] @ b).toarray()`` for float64 CSR matrices, the same bit for bit.
+def _dense_product(a: tuple, b: tuple, n_col: int, rows: int, cj: np.ndarray, cx: np.ndarray) -> np.ndarray:
+    """``(A[:rows] @ B).toarray()`` for float64 CSR operands given as ``(indptr, indices, data)``, bit for bit.
 
-    Calls the compiled kernels that ``@`` and ``toarray`` run, so each entry is
-    summed over ``a``'s row in stored order, as there, but skips the structure
-    pass that sizes ``@``'s output: a product row has at most ``b.shape[1]``
-    entries, so ``cj`` and ``cx`` need ``rows * b.shape[1]`` slots. The
-    kernels trust their sizes and write into those buffers, so a wrong shape,
-    dtype or a short buffer raises here.
+    ``B`` has ``n_col`` columns. Calls the compiled kernels that ``@`` and
+    ``toarray`` run, so each entry is summed over ``A``'s row in stored order,
+    as there, but skips the structure pass that sizes ``@``'s output: a product
+    row has at most ``n_col`` entries, so ``cj`` and ``cx`` need ``rows * n_col``
+    slots. The kernels trust their sizes and indices and write into those
+    buffers, so a wrong size, dtype, layout or index raises here.
     """
-    n_col, idx = b.shape[1], a.indices.dtype
+    (ap, aj, ax), (bp, bj, bx) = a, b
+    idx = aj.dtype
     if not (
-        a.format == b.format == "csr" and a.shape[1] == b.shape[0] and 0 <= rows <= a.shape[0]
-        and a.dtype == b.dtype == cx.dtype == np.float64
-        and all(v.dtype == idx for v in (a.indptr, b.indptr, b.indices, cj))
-        and all(v.ndim == 1 and v.flags.c_contiguous and v.flags.writeable for v in (cj, cx))
+        idx in (np.int32, np.int64) and all(v.dtype == idx for v in (ap, bp, bj, cj))
+        and ax.dtype == bx.dtype == cx.dtype == np.float64 and cj.flags.writeable and cx.flags.writeable
+        and all(v.ndim == 1 and v.flags.c_contiguous for v in (ap, aj, ax, bp, bj, bx, cj, cx))
+        and aj.size == ax.size and bj.size == bx.size and 0 <= rows < ap.size and 0 < bp.size
+        # the rows used lie in the arrays, A's column indices name rows of B, and B's fall below n_col
+        and ap[rows] <= aj.size and bp[-1] <= bj.size
+        and aj[:ap[rows]].max(initial=-1) < bp.size - 1 and bj[:bp[-1]].max(initial=-1) < n_col
         and rows * n_col <= min(cj.size, cx.size, np.iinfo(idx).max)
     ):
-        raise ValueError(f"product needs float64 CSR operands of one index dtype and {rows * n_col}-slot buffers")
+        raise ValueError(f"product needs float64 CSR arrays of one index dtype and {rows * n_col}-slot buffers")
     cp = np.empty(rows + 1, dtype=idx)
-    _sparsetools.csr_matmat(rows, n_col, a.indptr, a.indices, a.data, b.indptr, b.indices, b.data, cp, cj, cx)
+    _sparsetools.csr_matmat(rows, n_col, ap, aj, ax, bp, bj, bx, cp, cj, cx)
     out = np.zeros((rows, n_col))
     _sparsetools.csr_todense(rows, n_col, cp, cj, cx, out)
     return out

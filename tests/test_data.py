@@ -230,24 +230,29 @@ def _triples(records):
     return out
 
 
-_GOOD_USERS = st.sampled_from(["1", "2", "3", "a", "007", "x:", ":y"])
-_GOOD_ITEMS = st.integers(0, 30).map(str)
+_GOOD_USERS = st.sampled_from(["1", "2", "3", "a", "007", "x:", ":y", "é", "日本", "ü:"])
+_GOOD_ITEMS = st.one_of(st.integers(0, 30).map(str), st.sampled_from(["ß", ":7", "7:"]))
 _GOOD_RATINGS = st.sampled_from(["1", "3.5", "5", "5.0", "4.25", " 2 "])
-_ANY_IDS = st.sampled_from(["1", "a", "x:", "", " "])
+_ANY_IDS = st.sampled_from(["1", "a", "x:", "", " ", "5\n4", "\n7", "é"])
 _ANY_RATINGS = st.sampled_from(["3", "0.5", "6", "nan", "inf", "-1", "five", "", "3_0"])
 _STAMPS = st.sampled_from(["", "0", "978300760", "later", "-5", "1.5"])
 
 
 @st.composite
 def _ratings_text(draw):
-    """A csv or movielens_dat text: mostly good records, mixed with every kind of bad line."""
+    """A csv or movielens_dat text, mostly good records mixed with every kind of bad line, and its line ending.
+
+    Lines end in '\\n', read from a StringIO, or in '\\r', read from a byte
+    stream opened with ``newline="\\r"``, where a field may hold '\\n'.
+    """
     format = draw(st.sampled_from(["csv", "movielens_dat"]))
     sep = "," if format == "csv" else "::"
+    newline = draw(st.sampled_from(["\n", "\n", "\n", "\r"]))
     lines = []
     if format == "csv":
         lines.append(draw(st.sampled_from(["user,item,rating", "user,item,rating,timestamp", "a,b,c"])))
     for _ in range(draw(st.integers(0, 25))):
-        kind = draw(st.sampled_from(["good"] * 12 + ["stamp", "stamp", "blank", "fields", "wild"]))
+        kind = draw(st.sampled_from(["good"] * 12 + ["stamp", "stamp", "blank", "fields", "wild", "cancel", "runs"]))
         if kind == "blank":
             lines.append("")
         elif kind == "fields":
@@ -255,11 +260,48 @@ def _ratings_text(draw):
             lines.append(sep.join([draw(_GOOD_USERS), draw(_GOOD_ITEMS), "3", "0", "0"][:n_fields]))
         elif kind == "wild":
             lines.append(sep.join([draw(_ANY_IDS), draw(_ANY_IDS), draw(_ANY_RATINGS)]))
+        elif kind == "cancel":
+            # one line a field over and one a field short of 3 or 4 fields: the separators add up as if both were good
+            n_fields = draw(st.sampled_from([3, 4]))
+            fields = [str(draw(st.integers(0, 30))), str(draw(st.integers(0, 30))), "3", "0", "0"]
+            pair = [sep.join(fields[:n_fields + 1]), sep.join(fields[:n_fields - 1])]
+            lines.extend(pair if draw(st.booleans()) else pair[::-1])
+        elif kind == "runs":
+            # a separator with extra separator characters after it: ':::' runs in movielens_dat
+            fields = [draw(_GOOD_USERS), draw(_GOOD_ITEMS), draw(_GOOD_RATINGS)]
+            lines.append((sep + sep[0] * draw(st.integers(1, 3))).join(fields))
         else:
             fields = [draw(_GOOD_USERS), draw(_GOOD_ITEMS), draw(_GOOD_RATINGS)]
             lines.append(sep.join(fields + ([draw(_STAMPS)] if kind == "stamp" else [])))
-    end = draw(st.sampled_from(["\n", ""]))
-    return format, "\n".join(lines) + end if lines else ""
+    end = draw(st.sampled_from([newline, ""]))
+    return format, newline.join(lines) + end if lines else "", newline
+
+
+def _stream(text, newline):
+    """``text`` as a stream whose lines end at ``newline``."""
+    if newline == "\n":
+        return io.StringIO(text)
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8", newline=newline)
+
+
+def _old_fast_fields(chunk, sep):
+    """The fast path _tokenise took before it counted separators per chunk: its fields, or None where it fell back."""
+    lines = [line.rstrip("\n") for line in chunk]
+    widths = {line.count(sep) for line in lines}
+    if widths != {2} and widths != {3}:
+        return None
+    k = widths.pop() + 1
+    fields = "\n".join(lines).replace(sep, "\n").split("\n")
+    users, items = fields[0::k], fields[1::k]
+    if len(fields) != k * len(lines) or "" in users or "" in items:
+        return None
+    try:
+        ratings = list(map(float, fields[2::k]))
+        if k == 4:
+            list(map(int, filter(None, fields[3::k])))
+    except ValueError:
+        return None
+    return users, items, ratings
 
 
 class TestAgainstRecordByRecord:
@@ -268,14 +310,14 @@ class TestAgainstRecordByRecord:
     @given(case=_ratings_text(), chunk=st.sampled_from([1, 2, 3, 4096]), seed=st.integers(0, 2**16))
     @settings(max_examples=300, deadline=None)
     def test_same_records_or_same_error(self, case, chunk, seed):
-        format, text = case
+        format, text, newline = case
         try:
-            want = _reference_parse(io.StringIO(text), format, (1, 5))
+            want = _reference_parse(_stream(text, newline), format, (1, 5))
         except RatingParseError as exc:
             want = exc
         with mock.patch.object(data_module, "_CHUNK", chunk):
             try:
-                got = parse_ratings(io.StringIO(text), format, (1, 5))
+                got = parse_ratings(_stream(text, newline), format, (1, 5))
             except RatingParseError as exc:
                 got = exc
             if isinstance(want, RatingParseError):
@@ -291,6 +333,21 @@ class TestAgainstRecordByRecord:
                 assert (split.train.users, split.train.items) == (train_users, train_items)
                 assert _triples(split.train.records()) == train
                 assert _triples(split.test) == test
+
+    @given(case=_ratings_text(), chunk=st.sampled_from([1, 2, 3, 4096]))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_path_taken_where_it_was(self, case, chunk):
+        """The per-chunk separator count takes the fast path on exactly the chunks the per-line count did.
+
+        The one exception is a chunk holding '\\r', which now always goes line by line.
+        """
+        format, text, newline = case
+        lines = list(_stream(text, newline))[format == "csv":]
+        sep = "," if format == "csv" else "::"
+        for lo in range(0, len(lines), chunk):
+            part = lines[lo:lo + chunk]
+            want = None if "\r" in "".join(part) else _old_fast_fields(part, sep)
+            assert repr(data_module._fast_fields(part, sep)) == repr(want), part  # repr: nan equals nan
 
     def test_earliest_bad_line_wins(self):
         text = "1::1::5::0\n2::1::4::0\n1::1::3::0\n\n2::2::9::0\n1::3::4::0\ngarbage\n"
@@ -317,6 +374,17 @@ class TestAgainstRecordByRecord:
         assert (m.users, m.items, _triples(m.records())) == _reference_parse(stream(), "movielens_dat", (1, 5))
         assert m.items == ["5\n4", "2"]
 
+    def test_line_starting_with_newline(self):
+        """Joined, '\\r'-ended lines whose fields hold '\\n' can break at the wrong places: they go line by line."""
+        data = b"1::2::3\r\n4::5::4\r"
+
+        def stream():
+            return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="\r")
+
+        m = parse_ratings(stream(), "movielens_dat", (1, 5))
+        assert (m.users, m.items, _triples(m.records())) == _reference_parse(stream(), "movielens_dat", (1, 5))
+        assert m.users == ["1", "\n4"]
+
     def test_ring_shaped_input_matches(self):
         rng = np.random.default_rng(5)
         rows = [(f"u{u}", f"i{i}", float(np.round(rng.uniform(1, 5), 3))) for u in range(60) for i in range(40)
@@ -329,6 +397,42 @@ class TestAgainstRecordByRecord:
         assert (split.train.users, split.train.items, _triples(split.train.records())) == (
             train_users, train_items, train)
         assert _triples(split.test) == test
+
+
+def _unique_reindex(codes, names):
+    """The renumbering ``_reindex`` replaced: np.unique's first positions, sorted."""
+    present, first = np.unique(codes, return_index=True)
+    kept = present[np.argsort(first)]
+    renumber = np.empty(len(names), dtype=np.int64)
+    renumber[kept] = np.arange(kept.size)
+    return renumber[codes], [names[k] for k in kept.tolist()]
+
+
+class TestReindex:
+    """Sort-free renumbering against the np.unique version."""
+
+    @staticmethod
+    def _check(codes, names):
+        codes = np.array(codes, dtype=np.int64)
+        got, want = data_module._reindex(codes, names), _unique_reindex(codes, names)
+        assert got[0].dtype == want[0].dtype == np.int64
+        assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+
+    @given(n_names=st.integers(1, 12), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_unique_reference(self, n_names, data):
+        # codes drawn from fewer names than exist leave gaps; short lists repeat ids
+        codes = data.draw(st.lists(st.integers(0, n_names - 1), max_size=40))
+        self._check(codes, [f"n{k}" for k in range(n_names)])
+
+    def test_edge_cases(self):
+        names = ["a", "b", "c", "d", "e"]
+        self._check([], names)
+        self._check([], [])
+        self._check([3], names)
+        self._check([3, 3, 3], names)
+        self._check([4, 0, 4, 2, 0], names)
+        assert data_module._reindex(np.array([4, 0, 4, 2, 0]), names)[1] == ["e", "a", "c"]
 
 
 class TestRatingMatrixConstructor:

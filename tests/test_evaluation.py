@@ -1,7 +1,12 @@
+import concurrent.futures
 import functools
 import io
 import multiprocessing
+import os
+import subprocess
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +28,6 @@ from rategraph import (
     predict_hcp,
     split_ratings,
 )
-from rategraph import evaluation
 from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import random_rating_matrix
 
@@ -238,7 +242,8 @@ class TestEvaluate:
             pools.append(kwargs.get("max_workers"))
             return ProcessPoolExecutor(*args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "ProcessPoolExecutor", recording_pool)
+        # evaluate imports the pool class from concurrent.futures when jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
         parallel = evaluate(["knn", "hcp", "sfr"], split, fix.graph, cfg, jobs=2)
         assert pools == [2], "jobs=2 must fan the two users out over a pool"
         assert serial.to_json() == parallel.to_json()
@@ -279,6 +284,15 @@ def small_tent():
     return split, graph, cfg, serial.to_json()
 
 
+def test_import_does_not_load_multiprocessing():
+    """The pool's modules load only when a jobs > 1 evaluation starts one."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, rategraph; print('multiprocessing' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                         check=True, timeout=120)
+    assert out.stdout.strip() == "False"
+
+
 class TestEvaluateStartMethods:
     @pytest.mark.parametrize("method", ["fork", "forkserver", "spawn"])
     def test_pool_report_matches_serial(self, method, small_tent, monkeypatch):
@@ -286,7 +300,7 @@ class TestEvaluateStartMethods:
             pytest.skip(f"start method {method!r} not available on this platform")
         split, graph, cfg, serial_json = small_tent
         monkeypatch.setattr(
-            evaluation,
+            concurrent.futures,
             "ProcessPoolExecutor",
             functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)),
         )

@@ -317,6 +317,11 @@ def _csr_pairs(draw):
     return operand((m, k)), operand((k, n)), draw(st.integers(0, m))
 
 
+def _arrays(mat):
+    """A CSR matrix as the ``(indptr, indices, data)`` operand ``_dense_product`` takes."""
+    return mat.indptr, mat.indices, mat.data
+
+
 class TestDenseProduct:
     @given(pair=_csr_pairs())
     @settings(max_examples=300, deadline=None)
@@ -324,36 +329,43 @@ class TestDenseProduct:
         a, b, rows = pair
         want = (a[:rows] @ b).toarray()
         slots = rows * b.shape[1]
-        got = _dense_product(a, b, rows, np.empty(slots, dtype=a.indices.dtype), np.empty(slots))
+        got = _dense_product(_arrays(a), _arrays(b), b.shape[1], rows, np.empty(slots, dtype=a.indices.dtype),
+                             np.empty(slots))
         assert got.shape == want.shape and got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
 
     def test_rejects_bad_operands_and_buffers(self):
         a = sparse.random(4, 3, density=0.6, format="csr", random_state=0)
         b = sparse.random(3, 5, density=0.6, format="csr", random_state=1)
+        # a reaches row 3 and column 2, and b column 4, so the out-of-range cases below are real
+        assert a.tocsc().indices.max() == 3 and a.indices.max() == 2 and b.indices.max() == 4
+        A, B = _arrays(a), _arrays(b)
         idx = a.indices.dtype
         other_idx = np.int64 if idx == np.int32 else np.int32
         cj, cx = np.empty(20, dtype=idx), np.empty(20)
-        assert _dense_product(a, b, 4, cj, cx).tobytes() == (a @ b).toarray().tobytes()
-        wide_b = b.copy()
-        wide_b.indptr, wide_b.indices = wide_b.indptr.astype(other_idx), wide_b.indices.astype(other_idx)
+        assert _dense_product(A, B, 5, 4, cj, cx).tobytes() == (a @ b).toarray().tobytes()
+        wide_b = (b.indptr.astype(other_idx), b.indices.astype(other_idx), b.data)
         read_only = np.empty(20)
         read_only.flags.writeable = False
         spare = np.full(20, np.nan)
         cases = {
-            "short index buffer": (a, b, 4, cj[:19], cx),
-            "short value buffer": (a, b, 4, cj, spare[:19]),
-            "float32 values": (a, b, 4, cj, np.empty(20, dtype=np.float32)),
-            "index buffer dtype": (a, b, 4, np.empty(20, dtype=other_idx), cx),
-            "operand index dtype": (a, wide_b, 4, cj, cx),
-            "float32 operand": (a.astype(np.float32), b, 4, cj, cx),
-            "csc operand": (a.tocsc(), b, 4, cj, cx),
-            "shapes do not chain": (a, b.T.tocsr(), 4, cj, cx),
-            "too many rows": (a, b, 5, np.empty(25, dtype=idx), np.empty(25)),
-            "negative rows": (a, b, -1, cj, cx),
-            "strided buffer": (a, b, 4, cj, np.empty(40)[::2]),
-            "read-only buffer": (a, b, 4, cj, read_only),
-            "2-d buffer": (a, b, 4, cj, np.empty((4, 5))),
+            "short index buffer": (A, B, 5, 4, cj[:19], cx),
+            "short value buffer": (A, B, 5, 4, cj, spare[:19]),
+            "float32 values": (A, B, 5, 4, cj, np.empty(20, dtype=np.float32)),
+            "index buffer dtype": (A, B, 5, 4, np.empty(20, dtype=other_idx), cx),
+            "operand index dtype": (A, wide_b, 5, 4, cj, cx),
+            "float32 operand": (_arrays(a.astype(np.float32)), B, 5, 4, cj, cx),
+            # read as CSR, a's CSC arrays are a 3 x 4 matrix naming a row 3 that b lacks
+            "csc operand": (_arrays(a.tocsc()), B, 5, 3, cj, cx),
+            "shapes do not chain": (A, _arrays(b[:2]), 5, 4, cj, cx),
+            "too many rows": (A, B, 5, 5, np.empty(25, dtype=idx), np.empty(25)),
+            "negative rows": (A, B, 5, -1, cj, cx),
+            "strided buffer": (A, B, 5, 4, cj, np.empty(40)[::2]),
+            "read-only buffer": (A, B, 5, 4, cj, read_only),
+            "2-d buffer": (A, B, 5, 4, cj, np.empty((4, 5))),
+            "column past n_col": (A, B, 4, 4, cj, cx),
+            "indices and data differ in length": (A, (b.indptr, b.indices, b.data[:-1]), 5, 4, cj, cx),
+            "strided operand": ((a.indptr, np.repeat(a.indices, 2)[::2], a.data), B, 5, 4, cj, cx),
         }
         for name, args in cases.items():
             with pytest.raises(ValueError, match="product needs"):
@@ -519,8 +531,6 @@ class TestItemGraphChecks:
         assert got == _reference_rejection("abc", matrix)
         assert (got is None) if message is None else (message in got)
 
-    # degree sums over +inf and -inf weights warn before the checks reject them
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @given(n=st.integers(0, 5), data=st.data())
     @settings(max_examples=300, deadline=None)
     def test_same_message_as_subtraction(self, n, data):
