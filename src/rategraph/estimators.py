@@ -24,8 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate, combinations, repeat
-from operator import mul
+from itertools import combinations, repeat
 from typing import Iterable, Optional
 
 import numpy as np
@@ -55,27 +54,20 @@ METHODS = ("knn", "hcp", "sfr", "l0_oracle")
 # the harmonic CG solve stops once every free second derivative is this
 # fraction of the largest observed rating magnitude
 _CG_REL_TOL = 1e-12
-# the line search tries step 0.1 first and halves it, at most 60 times per step
+# the Barzilai-Borwein step is clamped to [_MIN_STEP, _MAX_STEP]; a stage's
+# first step, and any step after a move without positive curvature, is 0.1
 _INITIAL_STEP = 0.1
+_MIN_STEP = 1e-10
+_MAX_STEP = 1e10
+# the line search halves lambda from 1, at most 60 times per step
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
-# line-search trials screened together; most steps are accepted within the
-# first few halvings, so one batch usually decides a step
-_SCREEN_CHUNK = 8
 # continuation starts smoothing at one rating unit and divides by 10 per stage
 _EPS_START = 1.0
 # extra starts (multi_start > 1) add uniform noise of this half-width to the
 # warm start, drawn from a generator with this seed
 _RESTART_NOISE = 0.5
 _RESTART_SEED = 0
-
-
-def _step_ladder(first: float, factor: float) -> np.ndarray:
-    """The line search's step lengths as a column, built by repeated multiplication."""
-    return np.array(list(accumulate(repeat(factor, _MAX_BACKTRACKS - 1), mul, initial=first)))[:, None]
-
-
-_STEP_LADDER = _step_ladder(_INITIAL_STEP, _BACKTRACK_FACTOR)
 
 
 class ConvergenceError(RuntimeError):
@@ -443,7 +435,7 @@ def _eps_schedule(eps_final: float) -> list[float]:
     return out
 
 
-def _pgd_stage(
+def _spg_stage(
     x: np.ndarray,
     free_idx: np.ndarray,
     rows: np.ndarray,
@@ -454,89 +446,62 @@ def _pgd_stage(
     budget: int,
     rel_tol: float,
 ) -> tuple[np.ndarray, int, bool]:
-    """Projected gradient descent at one smoothing level.
+    """Spectral projected gradient descent at one smoothing level.
 
-    Each step walks along the analytic gradient with a backtracking line
-    search (halving from 0.1 until the objective decreases) and
-    clamps the free coordinates to the rating bounds. Stops when the relative
-    objective decrease falls under ``rel_tol``, when no step length decreases
-    the objective, or when the iteration budget runs out; ``converged`` is
-    False only in the last case. The objective is non-increasing across
-    accepted steps by construction. ``rows`` indexes the items whose second
-    derivative enters the objective.
-
-    The second derivative is linear in R, so trial steps are first screened
-    on one matvec per direction, ``_SCREEN_CHUNK`` step lengths at a time, in
-    the order halving one step at a time tries them. A trial that leaves the
-    box is evaluated exactly, clamped; an unclipped one only when its screen,
-    the linear model s - t * (P d - d) of its second derivative, lowers the
-    smoothed sum below the current objective. Each row sum of the screen
-    equals the sum over that one trial bit for bit. The first trial whose
-    exact objective decreases is accepted. The step ladder is built by
-    repeated multiplication, exactly as halving one step at a time builds it.
-
-    A free coordinate that sits on a bound with its gradient pointing out of
-    the box would be clamped back onto that bound at every step length, so
-    it is dropped from the direction. The trial vectors stay the same, but a
-    trial that only such a coordinate would have clipped is now screened
-    instead of evaluated exactly. Screen and exact sum differ by rounding
-    only, so that can change a decision only for a trial whose objective
-    change is itself at rounding level. That test runs only while a free
-    coordinate may sit on a bound: at the first step, and after a step to a
-    trial that was clamped or touched a bound.
+    Each step projects a gradient step of length alpha onto the rating box,
+    d = clip(x - alpha g) - x over the free coordinates, and halves lambda
+    from 1 until the smoothed sum at x + lambda d is below the current one.
+    alpha is the Barzilai-Borwein step s.s / s.y of the last accepted move
+    s and its gradient change y, clamped to [1e-10, 1e10]; it is 0.1 at the
+    first step and whenever s.y <= 0. Stops when d is zero (a stationary
+    point, which covers a zero gradient), when the relative objective
+    decrease falls under ``rel_tol``, when no lambda decreases the objective,
+    or when the iteration budget runs out; ``converged`` is False only in
+    the last case. The objective is non-increasing across accepted steps by
+    construction. ``rows`` indexes the items whose second derivative enters
+    the objective.
     """
     c_l, c_h = config.bounds
     p = config.p
     if rows.size == x.size:
         # every item is a row: a basic slice views where an index array copies
         rows = slice(None)
-
-    s, obj = _smoothed_sum(p_mat, x, rows, p, eps)
     u = np.zeros(x.size)
-    delta = np.zeros(x.size)
-    # whether a free coordinate may sit on a bound; unknown before the first step
-    on_bound = True
-    iters = 0
-    while iters < budget:
-        iters += 1
+
+    def gradient(s: np.ndarray) -> np.ndarray:
         u[rows] = _phi_grad(s[rows], p, eps)
         g = _matvec(pt_mat, u)
         g -= u
-        g = g[free_idx]
-        if not np.count_nonzero(g):
-            return x, iters, True
+        return g[free_idx]
+
+    s, obj = _smoothed_sum(p_mat, x, rows, p, eps)
+    g = gradient(s)
+    alpha = _INITIAL_STEP
+    iters = 0
+    while iters < budget:
+        iters += 1
         x_free = x[free_idx]
-        if on_bound:
-            # pinned on a bound and pushed outward: clamping undoes any step
-            g[((x_free == c_l) & (g > 0)) | ((x_free == c_h) & (g < 0))] = 0.0
-        delta[free_idx] = g
-        m_delta = _matvec(p_mat, delta)
-        m_delta -= delta
-        s_rows, m_rows = s[rows], m_delta[rows]
-        accepted = False
-        for start in range(0, _MAX_BACKTRACKS, _SCREEN_CHUNK):
-            chunk = _STEP_LADDER[start:start + _SCREEN_CHUNK]
-            raw = x_free - chunk * g
-            lo, hi = raw.min(axis=1), raw.max(axis=1)
-            clipped = (lo < c_l) | (hi > c_h)
-            lin = chunk * m_rows
-            np.subtract(s_rows, lin, out=lin)
-            screen = _phi(lin, p, eps).sum(axis=1)
-            for k in (clipped | (screen < obj)).nonzero()[0].tolist():
-                cand = x.copy()
-                cand[free_idx] = raw[k].clip(c_l, c_h) if clipped[k] else raw[k]
-                s_cand, obj_cand = _smoothed_sum(p_mat, cand, rows, p, eps)
-                if obj_cand < obj:
-                    accepted = True
-                    break
-            if accepted:
+        d = np.clip(x_free - alpha * g, c_l, c_h)
+        d -= x_free
+        if not np.count_nonzero(d):
+            return x, iters, True
+        lam = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            cand = x.copy()
+            # x + lambda d can round past a bound; clipping keeps the box exact
+            cand[free_idx] = np.clip(x_free + lam * d, c_l, c_h)
+            s, obj_cand = _smoothed_sum(p_mat, cand, rows, p, eps)
+            if obj_cand < obj:
                 break
+            lam *= _BACKTRACK_FACTOR
         else:
             return x, iters, True
+        g_new = gradient(s)
+        step = cand[free_idx] - x_free
+        sy = step @ (g_new - g)
+        alpha = min(max(step @ step / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
         drop = obj - obj_cand
-        x, s, obj = cand, s_cand, obj_cand
-        # a clipped trial is clamped onto a bound; an unclipped one can touch it
-        on_bound = lo[k] <= c_l or hi[k] >= c_h
+        x, obj, g = cand, obj_cand, g_new
         if drop < rel_tol * max(abs(obj), 1e-300):
             return x, iters, True
     return x, iters, False
@@ -555,7 +520,9 @@ def _recover(
     narrow curvature well around every zero of the second derivative, and the
     all-flat harmonic warm start cannot be escaped by descent. Annealing the
     smoothing keeps early stages soft enough for the gradient to reshape the
-    solution and late stages sharp enough to pin the sources.
+    solution and late stages sharp enough to pin the sources. Each stage is
+    one :func:`_spg_stage` run from where the last one ended, with an even
+    share of the iterations still left.
 
     Reports convergence only if every stage converged within its budget.
     """
@@ -571,7 +538,7 @@ def _recover(
             converged = False
             break
         budget = max(1, remaining // (len(stages) - si))
-        x, iters, stage_converged = _pgd_stage(
+        x, iters, stage_converged = _spg_stage(
             x, free_idx, rows, p_mat, pt_mat, config, eps, budget,
             config.objective_rel_tol,
         )
@@ -588,12 +555,13 @@ def predict_sfr(
 ) -> UserRecovery:
     """Scalar function recovery: minimize the smoothed l_p norm of grad2 R.
 
-    Starts from the harmonic solution, descends with projected gradient
-    steps (observed entries never move, free entries clamped to the rating
-    bounds after every step), and anneals the smoothing from one rating unit
-    down to ``config.smoothing_eps``. If descent somehow ends worse than the
-    warm start at the target smoothing, the warm start is returned, so the
-    result never loses to harmonic interpolation on the final objective.
+    Starts from the harmonic solution, descends with spectral projected
+    gradient steps (Barzilai-Borwein step lengths; observed entries never
+    move, free entries stay inside the rating bounds), and anneals the
+    smoothing from one rating unit down to ``config.smoothing_eps``. If
+    descent somehow ends worse than the warm start at the target smoothing,
+    the warm start is returned, so the result never loses to harmonic
+    interpolation on the final objective.
     Abstention rules are identical to :func:`predict_hcp`.
     """
     obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)

@@ -85,6 +85,11 @@ class EvaluationReport:
     the class set is empty; counts accompany every RMSE. Error contribution
     shares are squared-residual fractions of the kNN predictor over all
     classified test examples, so the four classes sum to the total exactly.
+
+    ``truth_rows`` holds one ``(method, bound_class, truth, count, rmse)``
+    tuple per row of ``rmse.tsv``, ``truth`` None for the "all" group; a
+    tuple is a fraction of the size of the dict :attr:`rmse_by_truth` builds
+    from it, and tent-ring ratings make one row per bound record.
     """
 
     n_test: int
@@ -98,7 +103,15 @@ class EvaluationReport:
     error_contribution_total: Optional[float]
     fallback_counts: dict[str, int]
     solver_stats: dict[str, dict[str, float]]
-    rmse_by_truth: list[dict[str, object]] = field(default_factory=list)
+    truth_rows: list[tuple[str, str, Optional[float], int, Optional[float]]] = field(default_factory=list)
+
+    @property
+    def rmse_by_truth(self) -> list[dict[str, object]]:
+        """The rows of ``rmse.tsv`` as dicts, built from ``truth_rows`` on each read."""
+        return [
+            {"method": m, "bound_class": cls, "truth_rating": _truth_key(truth), "count": count, "rmse": rmse}
+            for m, cls, truth, count, rmse in self.truth_rows
+        ]
 
     def to_json(self) -> str:
         payload = {
@@ -120,13 +133,15 @@ class EvaluationReport:
     def rmse_tsv(self) -> str:
         """Flat TSV of per-class RMSE with a truth-rating grouping key."""
         lines = ["method\tbound_class\ttruth_rating\tcount\trmse"]
-        for row in self.rmse_by_truth:
-            rmse = row["rmse"]
+        for m, cls, truth, count, rmse in self.truth_rows:
             rendered = "" if rmse is None else repr(rmse)
-            lines.append(
-                f"{row['method']}\t{row['bound_class']}\t{row['truth_rating']}\t{row['count']}\t{rendered}"
-            )
+            lines.append(f"{m}\t{cls}\t{_truth_key(truth)}\t{count}\t{rendered}")
         return "\n".join(lines) + "\n"
+
+
+def _truth_key(truth: Optional[float]) -> str:
+    """A truth rating as its report key: six significant digits, or "all"."""
+    return "all" if truth is None else format(truth, "g")
 
 
 def _rmse(residuals: list[float]) -> Optional[float]:
@@ -332,7 +347,7 @@ def evaluate(
                 if cls in (BoundClass.HIGHER, BoundClass.LOWER):
                     residual_sets[method]["all"].append(residual)
                     residual_sets[method][cls.value].append(residual)
-                    truth_key = format(rec.rating, "g")
+                    truth_key = _truth_key(rec.rating)
                     by_truth.setdefault((method, cls.value, truth_key), []).append(residual)
                     by_truth.setdefault((method, cls.value, "all"), []).append(residual)
                     by_truth.setdefault((method, "all", "all"), []).append(residual)
@@ -352,14 +367,10 @@ def evaluate(
     rmse_counts = {
         m: {k: len(v) for k, v in residual_sets[m].items()} for m in methods
     }
-    rmse_by_truth = [
-        {
-            "method": m,
-            "bound_class": cls,
-            "truth_rating": truth,
-            "count": len(res),
-            "rmse": _rmse(res),
-        }
+    # rows sort by the key strings, so "10" lists before "9.5"; a key parses
+    # back to a float that formats to the same key
+    truth_rows = [
+        (m, cls, None if truth == "all" else float(truth), len(res), _rmse(res))
         for (m, cls, truth), res in sorted(by_truth.items())
     ]
     solver_stats: dict[str, dict[str, float]] = {}
@@ -388,7 +399,7 @@ def evaluate(
         error_contribution_total=contribution["total"] if contribution else None,
         fallback_counts=fallback_counts,
         solver_stats=solver_stats,
-        rmse_by_truth=rmse_by_truth,
+        truth_rows=truth_rows,
     )
 
 

@@ -1,4 +1,3 @@
-import itertools
 import math
 from dataclasses import FrozenInstanceError, fields
 
@@ -16,7 +15,6 @@ from rategraph import (
     SolverConfig,
     build_item_graph,
     l0_oracle,
-    ladder_toy_26,
     predict_hcp,
     predict_knn,
     predict_sfr,
@@ -380,6 +378,13 @@ class TestPredictSfr:
         assert rec.estimates["v26"] == pytest.approx(9.0, abs=1e-2)
         assert rec.diagnostics.source_count == 2
 
+    def test_ladder_converges_at_the_defaults(self, ladder):
+        # each smoothing stage stops on its own tolerance within its share of
+        # the default budget, the first (eps = 1) stage included
+        cfg = SolverConfig(bounds=ladder.bounds)
+        rec = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), cfg)
+        assert rec.diagnostics.converged
+
     def test_constant_observations_stay_constant(self):
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -441,7 +446,7 @@ class TestPredictSfr:
     def test_converged_requires_every_stage(self, ladder, monkeypatch):
         # only the first smoothing stage fails; the last one converging must
         # not mask it
-        real = estimators._pgd_stage
+        real = estimators._spg_stage
         flags = []
 
         def first_stage_fails(*args):
@@ -449,7 +454,7 @@ class TestPredictSfr:
             flags.append(converged and len(flags) > 0)
             return x, iters, flags[-1]
 
-        monkeypatch.setattr(estimators, "_pgd_stage", first_stage_fails)
+        monkeypatch.setattr(estimators, "_spg_stage", first_stage_fails)
         cfg = SolverConfig(bounds=ladder.bounds)
         rec = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), cfg)
         assert len(flags) > 1 and flags[-1]
@@ -471,70 +476,6 @@ class TestPredictSfr:
         assert many.diagnostics.final_objective <= one.diagnostics.final_objective + 1e-9
         for name, truth in ladder.ground_truth.items():
             assert many.estimates[name] == pytest.approx(truth, abs=1e-2)
-
-
-def _reference_pgd_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, rel_tol):
-    """One-trial-at-a-time projected gradient descent, kept as the reference.
-
-    Every trial clips the full gradient step, evaluates a clipped trial
-    exactly and an unclipped one first on the linear model of the second
-    derivative; the solver must take exactly the same steps.
-    """
-    c_l, c_h = config.bounds
-    p = config.p
-    n = x.size
-
-    def smoothed_sum(vec):
-        s = p_mat @ vec - vec
-        return s, float(np.sum(estimators._phi(s[rows], p, eps)))
-
-    s, obj = smoothed_sum(x)
-    iters = 0
-    converged = False
-    while iters < budget:
-        iters += 1
-        u = np.zeros(n)
-        u[rows] = estimators._phi_grad(s[rows], p, eps)
-        g = (pt_mat @ u - u)[free_idx]
-        if not np.any(g):
-            converged = True
-            break
-        delta = np.zeros(n)
-        delta[free_idx] = g
-        m_delta = p_mat @ delta - delta
-        step = estimators._INITIAL_STEP
-        accepted = False
-        for _ in range(estimators._MAX_BACKTRACKS):
-            raw = x[free_idx] - step * g
-            cand_free = np.clip(raw, c_l, c_h)
-            clipped = not np.array_equal(raw, cand_free)
-            if clipped:
-                cand = x.copy()
-                cand[free_idx] = cand_free
-                s_cand, obj_cand = smoothed_sum(cand)
-            else:
-                s_cand = s - step * m_delta
-                obj_cand = float(np.sum(estimators._phi(s_cand[rows], p, eps)))
-            if obj_cand < obj:
-                if not clipped:
-                    cand = x.copy()
-                    cand[free_idx] = cand_free
-                    s_cand, obj_cand = smoothed_sum(cand)
-                    if not obj_cand < obj:
-                        step *= estimators._BACKTRACK_FACTOR
-                        continue
-                accepted = True
-                break
-            step *= estimators._BACKTRACK_FACTOR
-        if not accepted:
-            converged = True
-            break
-        drop = obj - obj_cand
-        x, s, obj = cand, s_cand, obj_cand
-        if drop < rel_tol * max(abs(obj), 1e-300):
-            converged = True
-            break
-    return x, iters, converged
 
 
 def _graph_with_gaps(rng, n, unobserved_component):
@@ -562,84 +503,83 @@ def _ring_graph(n_users, n_items, density):
     return build_item_graph(split.train, threshold=0.9, min_support=3), split.train
 
 
-_STOCK_STEPS = (estimators._INITIAL_STEP, estimators._BACKTRACK_FACTOR)
-_ODD_STEPS = (0.37, 0.3)
+def _stage_inputs(graph, observed, config):
+    """The free items, objective rows, harmonic warm start and walk matrices, as ``predict_sfr`` sets them up."""
+    obs_idx, obs_val = estimators._observed_arrays(graph, observed, config.bounds)
+    warm, solved = estimators._harmonic_extend(graph, obs_idx, obs_val)
+    obs_mask = np.zeros(graph.item_count, dtype=bool)
+    obs_mask[obs_idx] = True
+    free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
+    rows = np.flatnonzero(solved & (graph.degree > 0))
+    return free_idx, rows, np.where(solved, warm, 0.0), graph.random_walk_matrix(), graph.random_walk_matrix_t()
 
 
-def _use_step_rule(monkeypatch, first, factor):
-    """Make the line search start at ``first`` and shrink by ``factor``, for the solver and the reference."""
-    monkeypatch.setattr(estimators, "_INITIAL_STEP", first)
-    monkeypatch.setattr(estimators, "_BACKTRACK_FACTOR", factor)
-    monkeypatch.setattr(estimators, "_STEP_LADDER", estimators._step_ladder(first, factor))
+class TestSpgStage:
+    """Properties of one smoothing stage, on random graphs with degree-0
+    items and unobserved components, from the warm start or a random point
+    of the box. In the box (1.3, 4.7), unlike (1, 5), x + lambda d often
+    rounds past a bound."""
 
+    @staticmethod
+    def _case(seed):
+        rng = np.random.default_rng(seed)
+        graph, observed = _graph_with_gaps(rng, int(rng.integers(3, 14)), bool(rng.integers(2)))
+        lo, hi = (1.0, 5.0) if rng.uniform() < 0.5 else (1.3, 4.7)
+        observed = {name: lo + (r - 1) * (hi - lo) / 4 for name, r in observed.items()}
+        cfg = SolverConfig(bounds=(lo, hi))
+        free_idx, rows, x, p_mat, pt_mat = _stage_inputs(graph, observed, cfg)
+        if rng.uniform() < 0.5:
+            x[free_idx] = rng.uniform(lo, hi, free_idx.size)
+        eps = float(rng.choice([1.0, 1e-2, 1e-6]))
+        return x, free_idx, rows, p_mat, pt_mat, cfg, eps
 
-def _bit_identity_cases():
-    """Criterion-6-style random graphs, the ladder, one non-default step rule,
-    graphs whose rows are a strict subset of the items, and one tent-ring user.
-
-    Each case is (graph, observed, config, (initial step, backtrack factor)).
-    """
-    cases = []
-    for seed in range(200):
-        rng = np.random.default_rng(40_000 + seed)
-        g = random_connected_graph(rng, int(rng.integers(3, 16)))
-        cases.append((g, random_observed(rng, g), SolverConfig(bounds=(1, 5)), _STOCK_STEPS))
-    fix = ladder_toy_26()
-    cases.append((fix.graph, fix.observed, SolverConfig(bounds=fix.bounds), _STOCK_STEPS))
-    cases.append((fix.graph, fix.observed, SolverConfig(bounds=fix.bounds), _ODD_STEPS))
-    for seed in range(10):
-        rng = np.random.default_rng(41_000 + seed)
-        g = random_connected_graph(rng, int(rng.integers(3, 16)))
-        cases.append((g, random_observed(rng, g), SolverConfig(bounds=(1, 5)), _ODD_STEPS))
-    for seed in range(20):
-        rng = np.random.default_rng(42_000 + seed)
-        g, observed = _graph_with_gaps(rng, int(rng.integers(3, 16)), seed % 2 == 1)
-        cases.append((g, observed, SolverConfig(bounds=(1, 5)), _STOCK_STEPS))
-    graph, train = _ring_graph(120, 40, 0.55)
-    user = int(np.random.default_rng(43_000).integers(len(train.users)))
-    observed = {train.items[i]: r for i, r in train.user_ratings(user).items()}
-    cases.append((graph, observed, SolverConfig(bounds=(1, 5)), _STOCK_STEPS))
-    return cases
-
-
-class TestPgdStageBitIdentity:
-    def test_matches_one_trial_at_a_time_reference(self, monkeypatch):
-        fast_stage = estimators._pgd_stage
-        on_bound = 0
-        row_subsets = 0
-
-        def counting_reference(x, free_idx, rows, *args):
-            nonlocal on_bound, row_subsets
-            c_l, c_h = args[2].bounds
-            on_bound += int(np.sum((x[free_idx] == c_l) | (x[free_idx] == c_h)))
-            row_subsets += rows.size < x.size
-            return _reference_pgd_stage(x, free_idx, rows, *args)
-
-        for g, obs, cfg, steps in _bit_identity_cases():
-            _use_step_rule(monkeypatch, *steps)
-            monkeypatch.setattr(estimators, "_pgd_stage", fast_stage)
-            got = predict_sfr(g, obs, set(g.items), cfg)
-            monkeypatch.setattr(estimators, "_pgd_stage", counting_reference)
-            ref = predict_sfr(g, obs, set(g.items), cfg)
-            assert got.estimates == ref.estimates
-            assert got.abstentions == ref.abstentions
-            assert got.diagnostics == ref.diagnostics
-        # the pinned-coordinate path must actually be exercised: some stage
-        # starts with a free coordinate already on a bound
-        assert on_bound > 0
-        # and some stages must leave items out of the objective's rows
-        assert row_subsets > 0
-
-
-class TestPgdStagePinnedCoordinate:
-    """A free coordinate on a bound whose gradient points out of the box is
-    dropped from the step: one step takes the same trial, after as many exact
-    objective evaluations, as with that coordinate fixed."""
-
-    def test_step_and_exact_evaluations_match_the_fixed_coordinate(self, monkeypatch):
-        cfg = SolverConfig(bounds=(1, 5))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_pins_observations_keeps_the_box_and_never_ends_above_its_start(self, seed):
+        x, free_idx, rows, p_mat, pt_mat, cfg, eps = self._case(seed)
+        fixed = np.setdiff1d(np.arange(x.size), free_idx)
+        trials = []
         real = estimators._smoothed_sum
+
+        def recording(p_mat, vec, *rest):
+            trials.append(vec.copy())
+            return real(p_mat, vec, *rest)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(estimators, "_smoothed_sum", recording)
+            out, iters, _ = estimators._spg_stage(x, free_idx, rows, p_mat, pt_mat, cfg, eps, 300, cfg.objective_rel_tol)
+        assert 1 <= iters <= 300
+        # every vector the stage evaluates, and so every iterate, keeps the
+        # observed entries bit for bit and the free ones inside the box
+        for vec in trials + [out]:
+            assert vec[fixed].tobytes() == x[fixed].tobytes()
+            assert np.all((vec[free_idx] >= cfg.bounds[0]) & (vec[free_idx] <= cfg.bounds[1]))
+        start = real(p_mat, x, rows, cfg.p, eps)[1]
+        assert real(p_mat, out, rows, cfg.p, eps)[1] <= start
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_two_runs_agree(self, seed):
+        x, *rest = self._case(seed)
+        first = estimators._spg_stage(x.copy(), *rest, 300, 1e-8)
+        second = estimators._spg_stage(x.copy(), *rest, 300, 1e-8)
+        assert first[0].tobytes() == second[0].tobytes()
+        assert first[1:] == second[1:]
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_zero_gradient_exits_at_once(self, seed, monkeypatch):
+        # a path with one power-of-two weight has walk weights of exactly 1 and
+        # 1/2, so a constant vector has a zero second derivative and gradient
+        rng = np.random.default_rng(seed)
+        items = [f"i{k}" for k in range(int(rng.integers(3, 12)))]
+        weight = float(rng.choice([0.25, 0.5, 1.0]))
+        graph = ItemGraph.from_edges(items, [(a, b, weight) for a, b in zip(items, items[1:])])
+        cfg = SolverConfig(bounds=(1, 5))
+        level = float(rng.choice([1.0, 3.5, 5.0]))
+        observed = {name: level for name in random_observed(rng, graph)}
+        free_idx, rows, x, p_mat, pt_mat = _stage_inputs(graph, observed, cfg)
         calls = 0
+        real = estimators._smoothed_sum
 
         def counting(*args):
             nonlocal calls
@@ -647,47 +587,9 @@ class TestPgdStagePinnedCoordinate:
             return real(*args)
 
         monkeypatch.setattr(estimators, "_smoothed_sum", counting)
-
-        def one_step(graph, x, free_idx, eps):
-            nonlocal calls
-            calls = 0
-            p_mat, pt_mat = graph.random_walk_matrix(), graph.random_walk_matrix_t()
-            rows = np.arange(graph.item_count)
-            x_new, _, _ = estimators._pgd_stage(x, free_idx, rows, p_mat, pt_mat, cfg, eps, 1, cfg.objective_rel_tol)
-            return x_new, calls
-
-        cases = screened_out = 0
-        for seed in range(80):
-            rng = np.random.default_rng(44_000 + seed)
-            graph = random_connected_graph(rng, int(rng.integers(4, 10)))
-            n = graph.item_count
-            # nearly flat, so small second derivatives make the first trials overshoot
-            flat = rng.uniform(4.9, 5.0, n)
-            free_idx = np.sort(rng.choice(n, size=int(rng.integers(2, n)), replace=False))
-            for j, eps in itertools.product(free_idx, (0.1, 1e-3)):
-                x = flat.copy()
-                x[j] = 5.0
-                s = graph.random_walk_matrix() @ x - x
-                u = estimators._phi_grad(s, cfg.p, eps)
-                g = graph.random_walk_matrix_t() @ u - u
-                if g[j] >= 0:
-                    continue  # pushed into the box, so the coordinate moves
-                rest = free_idx[free_idx != j]
-                pinned, n_pinned = one_step(graph, x, free_idx, eps)
-                fixed, n_fixed = one_step(graph, x, rest, eps)
-                assert pinned.tobytes() == fixed.tobytes()
-                assert n_pinned == n_fixed
-                cases += 1
-                # ladder position of the accepted trial; every earlier trial
-                # would be evaluated exactly if the pinned coordinate clipped it
-                trials = np.clip(x[rest] - estimators._STEP_LADDER * g[rest], 1, 5)
-                k = next((k for k, t in enumerate(trials) if np.array_equal(t, fixed[rest])), None)
-                if k is not None:
-                    screened_out += (k + 1) - (n_fixed - 1)
-        assert cases > 20
-        # the screen must have spared some exact evaluations, or a stage that
-        # kept the pinned coordinate would pass too
-        assert screened_out > 0
+        out, iters, converged = estimators._spg_stage(x, free_idx, rows, p_mat, pt_mat, cfg, 1e-6, 100, 1e-8)
+        assert (iters, converged, calls) == (1, True, 1)
+        assert out.tobytes() == x.tobytes()
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import concurrent.futures
 import functools
 import io
+import json
 import multiprocessing
 import os
 import subprocess
@@ -306,6 +307,93 @@ class TestEvaluateStartMethods:
         )
         parallel = evaluate(["knn", "hcp", "sfr"], split, graph, cfg, jobs=2)
         assert parallel.to_json() == serial_json
+
+
+_REPORT_KEYS = (
+    "n_test", "n_classified", "n_unknown_items", "class_counts", "class_fractions", "rmse", "rmse_counts",
+    "error_contribution", "error_contribution_total", "fallback_counts", "solver_stats",
+)
+
+
+def _reference_dict_rows(split, graph, dump):
+    """The per-truth rows as dicts, aggregated as the report did before it kept tuples.
+
+    Residuals come from the predictions dump, which ``evaluate`` writes in its
+    aggregation order, so each group's residuals are summed in the same order.
+    """
+    truth = {(rec.user_id, rec.item_id): rec for rec in split.test}
+    by_truth = {}
+    for line in dump.splitlines():
+        user, item, est, method, _ = line.split(",")
+        rec = truth[(user, item)]
+        cls = classify_bound(rec, split.train, graph)
+        if cls not in (BoundClass.HIGHER, BoundClass.LOWER):
+            continue
+        residual = float(est) - rec.rating
+        for key in ((method, cls.value, format(rec.rating, "g")), (method, cls.value, "all"), (method, "all", "all")):
+            by_truth.setdefault(key, []).append(residual)
+    return [
+        {"method": m, "bound_class": cls, "truth_rating": key, "count": len(res),
+         "rmse": float(np.sqrt(np.mean(np.square(res))))}
+        for (m, cls, key), res in sorted(by_truth.items())
+    ]
+
+
+def _reference_outputs(report, rows):
+    """``to_json()`` and ``rmse_tsv()`` as the dict-row report wrote them."""
+    payload = {key: getattr(report, key) for key in _REPORT_KEYS}
+    payload["rmse_by_truth"] = rows
+    lines = ["method\tbound_class\ttruth_rating\tcount\trmse"]
+    for row in rows:
+        rendered = "" if row["rmse"] is None else repr(row["rmse"])
+        lines.append(f"{row['method']}\t{row['bound_class']}\t{row['truth_rating']}\t{row['count']}\t{rendered}")
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n", "\n".join(lines) + "\n"
+
+
+def _star_ring_split():
+    """A tent ring rated in half stars from 0.5 to 10: many tied truths, and
+    keys such as "10" and "9.5" whose string order is not their numeric order."""
+    ring = tent_ring_dataset(2024, 80, 24, 0.55)
+    users, items, ratings = ring.arrays()
+    stars = np.round((ratings - 1.0) * 4.75) / 2 + 0.5
+    matrix = RatingMatrix.from_ids(
+        (0.5, 10.0), [ring.users[u] for u in users], [ring.items[i] for i in items], stars.tolist()
+    )
+    return split_ratings(matrix, 0.8, seed=1)
+
+
+class TestCompactTruthRows:
+    """The report keeps its per-truth rows as tuples; what it writes and the
+    ``rmse_by_truth`` view must equal what the dict rows gave, byte for byte."""
+
+    @pytest.mark.parametrize("ratings", ["tent_ring", "half_stars"])
+    def test_outputs_match_dict_rows(self, ratings):
+        if ratings == "tent_ring":
+            split = split_ratings(tent_ring_dataset(2024, 120, 40, 0.55), 0.8, seed=1)
+            keep = sorted({rec.user_id for rec in split.test})[:40]
+            split = Split(split.train, [rec for rec in split.test if rec.user_id in keep], split.fraction, split.seed)
+        else:
+            split = _star_ring_split()
+        graph = build_item_graph(split.train, threshold=0.9, min_support=3)
+        dump = io.StringIO()
+        report = evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=split.train.bounds),
+                          predictions_out=dump)
+        rows = _reference_dict_rows(split, graph, dump.getvalue())
+        assert report.rmse_by_truth == rows
+        assert (report.to_json(), report.rmse_tsv()) == _reference_outputs(report, rows)
+        keys = [row["truth_rating"] for row in rows]
+        if ratings == "half_stars":
+            # the input must hold ties and the string-ordered keys it is meant to test
+            assert {"10", "9.5"} <= set(keys)
+            assert max(row["count"] for row in rows if row["truth_rating"] != "all") > 1
+        else:
+            assert len(set(keys)) > 50
+
+    def test_rmse_by_truth_is_read_only(self):
+        split, fix = _toy_ladder_split()
+        report = evaluate(["knn"], split, fix.graph, SolverConfig(bounds=fix.bounds))
+        with pytest.raises(AttributeError):
+            report.rmse_by_truth = []
 
 
 def _complete_graph(names):
