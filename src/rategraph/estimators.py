@@ -31,7 +31,14 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .graph import ItemGraph, second_derivative
+# np.clip is a Python wrapper around this ufunc and costs about three times
+# as much on a vector of a few dozen items; numpy 2 moved it to numpy._core
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:
+    from numpy.core.umath import clip as _clip
+
+from .graph import CsrArrays, ItemGraph, second_derivative
 
 __all__ = [
     "METHODS",
@@ -343,36 +350,61 @@ def predict_hcp(
 # kink at 0 for p <= 1/2, which freezes descent at any all-flat point.)
 
 
-# Both evaluate their docstring's formula in place on one fresh array, with
-# the same operations on the same operands, so they round exactly as the
-# expression written out would.
-
-
-def _phi(s: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """(s*s + eps*eps) ** (p/2) - eps**p."""
-    t = s * s
-    t += eps * eps
-    t **= 0.5 * p
-    t -= eps**p
-    return t
-
-
-def _phi_grad(s: np.ndarray, p: float, eps: float) -> np.ndarray:
-    """p * s * (s*s + eps*eps) ** (p/2 - 1)."""
-    t = s * s
-    t += eps * eps
-    t **= 0.5 * p - 1.0
-    t *= p * s
-    return t
+# The evaluator and the gradient share q = s*s + eps*eps: phi(s) is
+# q**(p/2) - eps**p and phi'(s) is q**(p/2 - 1) * (p*s). Each applies the
+# same operations to the same operands as those formulas written out, so
+# both round exactly as the expressions would.
 
 
 def _smoothed_sum(
-    p_mat: sparse.csr_matrix, vec: np.ndarray, rows: np.ndarray | slice, p: float, eps: float
-) -> tuple[np.ndarray, float]:
-    """Second derivative s = P vec - vec and the smoothed sum of phi(s) over ``rows``."""
-    s = _matvec(p_mat, vec)
-    s -= vec
-    return s, float(_phi(s[rows], p, eps).sum())
+    op: CsrArrays, vec: np.ndarray, rows: np.ndarray | slice, p: float, eps: float
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Second derivative s = (P - I) vec on ``rows``, q = s*s + eps*eps there, and the sum of phi(s).
+
+    ``op`` is the first of :meth:`ItemGraph.second_difference_operators`.
+    The kernel trusts its sizes: ``vec`` must be a float64 vector with one
+    entry per item, which every caller checks or builds.
+    """
+    n = vec.size
+    s = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, vec, s)
+    s = s[rows]
+    q = s * s
+    q += eps * eps
+    t = q ** (0.5 * p)
+    t -= eps**p
+    return s, q, float(np.add.reduce(t))
+
+
+def _gradient(
+    op_t: CsrArrays, s: np.ndarray, q: np.ndarray, u: np.ndarray, rows: np.ndarray | slice, p: float
+) -> np.ndarray:
+    """(P - I)^T phi'(s) over all items, phi'(s) put in ``u`` at ``rows``; overwrites q.
+
+    ``s`` and ``q`` are :func:`_smoothed_sum`'s; ``u`` is zero off ``rows``.
+    """
+    q **= 0.5 * p - 1.0
+    q *= p * s
+    u[rows] = q
+    n = u.size
+    g = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, op_t.indptr, op_t.indices, op_t.data, u, g)
+    return g
+
+
+def _defined_values(graph: ItemGraph, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A complete vector with 0 at degree-0 items, and the indices of the other items.
+
+    Raises on a vector of the wrong length or one that is not finite where
+    the second derivative is defined.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (graph.item_count,):
+        raise ValueError("values must have one entry per item")
+    defined = graph.degree > 0
+    if not np.all(np.isfinite(values[defined])):
+        raise ValueError("values contain non-finite entries on connected items")
+    return np.where(defined, values, 0.0), np.flatnonzero(defined)
 
 
 def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) -> float:
@@ -382,19 +414,9 @@ def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) ->
     The p-th root is monotone in the sum, so optimization minimizes the sum
     and only reports this norm.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (graph.item_count,):
-        raise ValueError("values must have one entry per item")
-    defined = graph.degree > 0
-    if not np.all(np.isfinite(values[defined])):
-        raise ValueError("values contain non-finite entries on connected items")
-    _, total = _smoothed_sum(
-        graph.random_walk_matrix(),
-        np.where(defined, values, 0.0),
-        np.flatnonzero(defined),
-        config.p,
-        config.smoothing_eps,
-    )
+    vec, rows = _defined_values(graph, values)
+    op = graph.second_difference_operators()[0]
+    total = _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)[2]
     return total ** (1.0 / config.p)
 
 
@@ -413,11 +435,10 @@ def sfr_gradient(
     free_idx = np.array(
         sorted(graph.item_index[str(name)] for name in free), dtype=np.int64
     )
-    f = second_derivative(graph, values, config.source_tolerance)
-    u = np.zeros(graph.item_count)
-    u[f.defined] = _phi_grad(f.values[f.defined], config.p, config.smoothing_eps)
-    g = graph.random_walk_matrix_t() @ u - u
-    return g[free_idx]
+    vec, rows = _defined_values(graph, values)
+    op, op_t = graph.second_difference_operators()
+    s, q, _ = _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)
+    return _gradient(op_t, s, q, np.zeros(vec.size), rows, config.p)[free_idx]
 
 
 # -- scalar function recovery ------------------------------------------------------
@@ -439,8 +460,7 @@ def _spg_stage(
     x: np.ndarray,
     free_idx: np.ndarray,
     rows: np.ndarray,
-    p_mat: sparse.csr_matrix,
-    pt_mat: sparse.csr_matrix,
+    ops: tuple[CsrArrays, CsrArrays],
     config: SolverConfig,
     eps: float,
     budget: int,
@@ -459,49 +479,54 @@ def _spg_stage(
     or when the iteration budget runs out; ``converged`` is False only in
     the last case. The objective is non-increasing across accepted steps by
     construction. ``rows`` indexes the items whose second derivative enters
-    the objective.
+    the objective; ``ops`` is :meth:`ItemGraph.second_difference_operators`.
+    ``x`` itself is not modified.
     """
     c_l, c_h = config.bounds
     p = config.p
-    if rows.size == x.size:
+    op, op_t = ops
+    n = op.indptr.size - 1
+    # every vector the kernels see below is x, a buffer of x's size or a derived array
+    if x.shape != (n,) or x.dtype != np.float64:
+        raise ValueError(f"the stage needs a float64 vector of length {n}, got {x.dtype} {x.shape}")
+    if rows.size == n:
         # every item is a row: a basic slice views where an index array copies
         rows = slice(None)
-    u = np.zeros(x.size)
-
-    def gradient(s: np.ndarray) -> np.ndarray:
-        u[rows] = _phi_grad(s[rows], p, eps)
-        g = _matvec(pt_mat, u)
-        g -= u
-        return g[free_idx]
-
-    s, obj = _smoothed_sum(p_mat, x, rows, p, eps)
-    g = gradient(s)
+    u = np.zeros(n)
+    # the iterate and the trial buffer; they trade places on each accepted step
+    x, trial = x.copy(), x.copy()
+    s, q, obj = _smoothed_sum(op, x, rows, p, eps)
+    g = _gradient(op_t, s, q, u, rows, p)[free_idx]
+    x_free = x[free_idx]
     alpha = _INITIAL_STEP
     iters = 0
     while iters < budget:
         iters += 1
-        x_free = x[free_idx]
-        d = np.clip(x_free - alpha * g, c_l, c_h)
+        d = x_free - alpha * g
+        _clip(d, c_l, c_h, out=d)
         d -= x_free
         if not np.count_nonzero(d):
             return x, iters, True
         lam = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            cand = x.copy()
+            # 1.0 * d == d exactly, so the first trial skips the product
+            cand = x_free + d if lam == 1.0 else x_free + lam * d
             # x + lambda d can round past a bound; clipping keeps the box exact
-            cand[free_idx] = np.clip(x_free + lam * d, c_l, c_h)
-            s, obj_cand = _smoothed_sum(p_mat, cand, rows, p, eps)
+            _clip(cand, c_l, c_h, out=cand)
+            trial[free_idx] = cand
+            s, q, obj_cand = _smoothed_sum(op, trial, rows, p, eps)
             if obj_cand < obj:
                 break
             lam *= _BACKTRACK_FACTOR
         else:
             return x, iters, True
-        g_new = gradient(s)
-        step = cand[free_idx] - x_free
+        g_new = _gradient(op_t, s, q, u, rows, p)[free_idx]
+        step = cand - x_free
         sy = step @ (g_new - g)
         alpha = min(max(step @ step / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
         drop = obj - obj_cand
-        x, obj, g = cand, obj_cand, g_new
+        x, trial = trial, x
+        x_free, obj, g = cand, obj_cand, g_new
         if drop < rel_tol * max(abs(obj), 1e-300):
             return x, iters, True
     return x, iters, False
@@ -526,10 +551,9 @@ def _recover(
 
     Reports convergence only if every stage converged within its budget.
     """
-    p_mat = graph.random_walk_matrix()
-    pt_mat = graph.random_walk_matrix_t()
+    ops = graph.second_difference_operators()
     stages = _eps_schedule(config.smoothing_eps)
-    x = warm.copy()
+    x = warm
     used = 0
     converged = True
     for si, eps in enumerate(stages):
@@ -539,7 +563,7 @@ def _recover(
             break
         budget = max(1, remaining // (len(stages) - si))
         x, iters, stage_converged = _spg_stage(
-            x, free_idx, rows, p_mat, pt_mat, config, eps, budget,
+            x, free_idx, rows, ops, config, eps, budget,
             config.objective_rel_tol,
         )
         used += iters
@@ -572,10 +596,10 @@ def predict_sfr(
     row_mask = solved & (graph.degree > 0)
     rows = np.flatnonzero(row_mask)
     warm = np.where(solved, warm_nan, 0.0)
-    p_mat = graph.random_walk_matrix()
+    op = graph.second_difference_operators()[0]
 
     def final_objective(vec: np.ndarray) -> float:
-        return _smoothed_sum(p_mat, vec, rows, config.p, config.smoothing_eps)[1]
+        return _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)[2]
 
     best = warm
     best_obj = final_objective(warm)

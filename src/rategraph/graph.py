@@ -15,7 +15,7 @@ second derivative and are excluded from all solves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Optional
+from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -71,9 +71,9 @@ class ItemGraph:
         self._validate()
         self.degree: np.ndarray = np.asarray(w.sum(axis=1)).ravel()
         self.degree.setflags(write=False)
-        # lazy caches (random-walk matrix, transpose, component labels)
+        # lazy caches (random-walk matrix, P - I pair, component labels)
         self._p: Optional[sparse.csr_matrix] = None
-        self._pt: Optional[sparse.csr_matrix] = None
+        self._ops: Optional[tuple[CsrArrays, CsrArrays]] = None
         self._labels: Optional[np.ndarray] = None
 
     # -- construction helpers -------------------------------------------------
@@ -150,11 +150,21 @@ class ItemGraph:
             self._p.sort_indices()
         return self._p
 
-    def random_walk_matrix_t(self) -> sparse.csr_matrix:
-        if self._pt is None:
-            self._pt = self.random_walk_matrix().T.tocsr()
-            self._pt.sort_indices()
-        return self._pt
+    def second_difference_operators(self) -> tuple[CsrArrays, CsrArrays]:
+        """P - I and its transpose as raw CSR arrays, for scipy's ``csr_matvec`` (cached).
+
+        Each row holds the row's entries of P (or of P^T) in ascending column
+        order and then its diagonal -1. ``csr_matvec`` sums a row from 0 in
+        stored order, so it ends in ``+ (-1) * x[i]``, which rounds exactly as
+        the ``- x[i]`` of ``P @ x - x`` does: the results are equal bit for
+        bit. The arrays are read-only.
+        """
+        if self._ops is None:
+            p = self.random_walk_matrix()
+            pt = p.T.tocsr()
+            pt.sort_indices()
+            self._ops = (_minus_identity(p), _minus_identity(pt))
+        return self._ops
 
     def component_labels(self) -> np.ndarray:
         """Connected-component label per node (deterministic numbering)."""
@@ -175,6 +185,27 @@ class ItemGraph:
             and np.array_equal(self._w.indices, other._w.indices)
             and np.array_equal(self._w.data, other._w.data)
         )
+
+
+class CsrArrays(NamedTuple):
+    """A square CSR matrix as the three arrays scipy's kernels take."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+
+def _minus_identity(mat: sparse.csr_matrix) -> CsrArrays:
+    """``mat - I`` for a square CSR matrix with no stored diagonal, each row's -1 stored last."""
+    n = mat.shape[0]
+    ends = mat.indptr[1:]
+    # np.insert puts each value before the given position, so at the end of its row
+    indptr = mat.indptr + np.arange(n + 1, dtype=mat.indptr.dtype)
+    indices = np.insert(mat.indices, ends, np.arange(n, dtype=mat.indices.dtype))
+    data = np.insert(mat.data, ends, -1.0)
+    for arr in (indptr, indices, data):
+        arr.setflags(write=False)
+    return CsrArrays(indptr, indices, data)
 
 
 @dataclass

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
+from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import spsolve
 
 from rategraph import (
@@ -24,6 +25,7 @@ from rategraph import (
     split_ratings,
 )
 from rategraph import estimators
+from rategraph.evaluation import BoundClass, classify_bound
 from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import random_connected_graph, random_observed
 
@@ -498,20 +500,114 @@ def _graph_with_gaps(rng, n, unobserved_component):
 
 
 def _ring_graph(n_users, n_items, density):
-    """A tent-ring training graph and its training ratings, as the benchmark rings build them."""
+    """A tent-ring training graph and its split, as the benchmark rings build them."""
     split = split_ratings(tent_ring_dataset(2024, n_users, n_items, density), 0.8, seed=1)
-    return build_item_graph(split.train, threshold=0.9, min_support=3), split.train
+    return build_item_graph(split.train, threshold=0.9, min_support=3), split
+
+
+def _bound_users(graph, split, count):
+    """The first ``count`` users, in sorted order, with a higher or lower test record, and their observations."""
+    bound = (BoundClass.HIGHER, BoundClass.LOWER)
+    users = sorted({r.user_id for r in split.test if r.item_id in graph.item_index
+                    and classify_bound(r, split.train, graph) in bound})[:count]
+    train = split.train
+    for user in users:
+        rated = train.user_ratings(train.user_index[user])
+        yield {train.items[i]: r for i, r in rated.items() if train.items[i] in graph.item_index}
 
 
 def _stage_inputs(graph, observed, config):
-    """The free items, objective rows, harmonic warm start and walk matrices, as ``predict_sfr`` sets them up."""
+    """The free items, objective rows, harmonic warm start and P - I pair, as ``predict_sfr`` sets them up."""
     obs_idx, obs_val = estimators._observed_arrays(graph, observed, config.bounds)
     warm, solved = estimators._harmonic_extend(graph, obs_idx, obs_val)
     obs_mask = np.zeros(graph.item_count, dtype=bool)
     obs_mask[obs_idx] = True
     free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
     rows = np.flatnonzero(solved & (graph.degree > 0))
-    return free_idx, rows, np.where(solved, warm, 0.0), graph.random_walk_matrix(), graph.random_walk_matrix_t()
+    return free_idx, rows, np.where(solved, warm, 0.0), graph.second_difference_operators()
+
+
+def _walk_pair(graph):
+    """P and P^T as sorted scipy CSR matrices."""
+    p_mat = graph.random_walk_matrix()
+    pt_mat = p_mat.T.tocsr()
+    pt_mat.sort_indices()
+    return p_mat, pt_mat
+
+
+# -- the SPG stage as it was written before it ran on the fused P - I arrays:
+# scipy matrices, a product and a subtraction per second derivative, a copy
+# per trial and np.clip. The stage must match it bit for bit.
+
+
+def _reference_phi(s, p, eps):
+    t = s * s
+    t += eps * eps
+    t **= 0.5 * p
+    t -= eps**p
+    return t
+
+
+def _reference_phi_grad(s, p, eps):
+    t = s * s
+    t += eps * eps
+    t **= 0.5 * p - 1.0
+    t *= p * s
+    return t
+
+
+def _reference_smoothed_sum(p_mat, vec, rows, p, eps):
+    s = estimators._matvec(p_mat, vec)
+    s -= vec
+    return s, float(_reference_phi(s[rows], p, eps).sum())
+
+
+def _reference_spg_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, rel_tol):
+    c_l, c_h = config.bounds
+    p = config.p
+    if rows.size == x.size:
+        rows = slice(None)
+    u = np.zeros(x.size)
+
+    def gradient(s):
+        u[rows] = _reference_phi_grad(s[rows], p, eps)
+        g = estimators._matvec(pt_mat, u)
+        g -= u
+        return g[free_idx]
+
+    s, obj = _reference_smoothed_sum(p_mat, x, rows, p, eps)
+    g = gradient(s)
+    alpha = estimators._INITIAL_STEP
+    iters = 0
+    while iters < budget:
+        iters += 1
+        x_free = x[free_idx]
+        d = np.clip(x_free - alpha * g, c_l, c_h)
+        d -= x_free
+        if not np.count_nonzero(d):
+            return x, iters, True
+        lam = 1.0
+        for _ in range(estimators._MAX_BACKTRACKS):
+            cand = x.copy()
+            cand[free_idx] = np.clip(x_free + lam * d, c_l, c_h)
+            s, obj_cand = _reference_smoothed_sum(p_mat, cand, rows, p, eps)
+            if obj_cand < obj:
+                break
+            lam *= estimators._BACKTRACK_FACTOR
+        else:
+            return x, iters, True
+        g_new = gradient(s)
+        step = cand[free_idx] - x_free
+        sy = step @ (g_new - g)
+        if sy > 0:
+            alpha = min(max(step @ step / sy, estimators._MIN_STEP), estimators._MAX_STEP)
+        else:
+            alpha = estimators._INITIAL_STEP
+        drop = obj - obj_cand
+        x, obj, g = cand, obj_cand, g_new
+        if drop < rel_tol * max(abs(obj), 1e-300):
+            return x, iters, True
+    return x, iters, False
 
 
 class TestSpgStage:
@@ -527,40 +623,53 @@ class TestSpgStage:
         lo, hi = (1.0, 5.0) if rng.uniform() < 0.5 else (1.3, 4.7)
         observed = {name: lo + (r - 1) * (hi - lo) / 4 for name, r in observed.items()}
         cfg = SolverConfig(bounds=(lo, hi))
-        free_idx, rows, x, p_mat, pt_mat = _stage_inputs(graph, observed, cfg)
+        free_idx, rows, x, ops = _stage_inputs(graph, observed, cfg)
         if rng.uniform() < 0.5:
             x[free_idx] = rng.uniform(lo, hi, free_idx.size)
         eps = float(rng.choice([1.0, 1e-2, 1e-6]))
-        return x, free_idx, rows, p_mat, pt_mat, cfg, eps
+        return graph, x, free_idx, rows, ops, cfg, eps
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_pins_observations_keeps_the_box_and_never_ends_above_its_start(self, seed):
-        x, free_idx, rows, p_mat, pt_mat, cfg, eps = self._case(seed)
+        _, x, free_idx, rows, ops, cfg, eps = self._case(seed)
         fixed = np.setdiff1d(np.arange(x.size), free_idx)
         trials = []
         real = estimators._smoothed_sum
 
-        def recording(p_mat, vec, *rest):
+        def recording(op, vec, *rest):
             trials.append(vec.copy())
-            return real(p_mat, vec, *rest)
+            return real(op, vec, *rest)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_smoothed_sum", recording)
-            out, iters, _ = estimators._spg_stage(x, free_idx, rows, p_mat, pt_mat, cfg, eps, 300, cfg.objective_rel_tol)
+            out, iters, _ = estimators._spg_stage(x, free_idx, rows, ops, cfg, eps, 300, cfg.objective_rel_tol)
         assert 1 <= iters <= 300
+        # the start and each trial: the stage evaluates every vector through the patched evaluator
+        assert len(trials) >= iters
         # every vector the stage evaluates, and so every iterate, keeps the
         # observed entries bit for bit and the free ones inside the box
         for vec in trials + [out]:
             assert vec[fixed].tobytes() == x[fixed].tobytes()
             assert np.all((vec[free_idx] >= cfg.bounds[0]) & (vec[free_idx] <= cfg.bounds[1]))
-        start = real(p_mat, x, rows, cfg.p, eps)[1]
-        assert real(p_mat, out, rows, cfg.p, eps)[1] <= start
+        start = real(ops[0], x, rows, cfg.p, eps)[2]
+        assert real(ops[0], out, rows, cfg.p, eps)[2] <= start
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_loop(self, seed):
+        graph, x, free_idx, rows, ops, cfg, eps = self._case(seed)
+        before = x.tobytes()
+        got = estimators._spg_stage(x, free_idx, rows, ops, cfg, eps, 300, cfg.objective_rel_tol)
+        want = _reference_spg_stage(x, free_idx, rows, *_walk_pair(graph), cfg, eps, 300, cfg.objective_rel_tol)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:]
+        assert x.tobytes() == before
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_two_runs_agree(self, seed):
-        x, *rest = self._case(seed)
+        _, x, *rest = self._case(seed)
         first = estimators._spg_stage(x.copy(), *rest, 300, 1e-8)
         second = estimators._spg_stage(x.copy(), *rest, 300, 1e-8)
         assert first[0].tobytes() == second[0].tobytes()
@@ -577,7 +686,7 @@ class TestSpgStage:
         cfg = SolverConfig(bounds=(1, 5))
         level = float(rng.choice([1.0, 3.5, 5.0]))
         observed = {name: level for name in random_observed(rng, graph)}
-        free_idx, rows, x, p_mat, pt_mat = _stage_inputs(graph, observed, cfg)
+        free_idx, rows, x, ops = _stage_inputs(graph, observed, cfg)
         calls = 0
         real = estimators._smoothed_sum
 
@@ -587,9 +696,161 @@ class TestSpgStage:
             return real(*args)
 
         monkeypatch.setattr(estimators, "_smoothed_sum", counting)
-        out, iters, converged = estimators._spg_stage(x, free_idx, rows, p_mat, pt_mat, cfg, 1e-6, 100, 1e-8)
+        out, iters, converged = estimators._spg_stage(x, free_idx, rows, ops, cfg, 1e-6, 100, 1e-8)
         assert (iters, converged, calls) == (1, True, 1)
         assert out.tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda n: np.zeros(n - 1), lambda n: np.zeros(n, dtype=np.float32), lambda n: np.zeros((n, 1))],
+        ids=["short", "float32", "column"],
+    )
+    def test_rejects_a_start_of_the_wrong_length_or_dtype(self, ladder, make):
+        n = ladder.graph.item_count
+        ops = ladder.graph.second_difference_operators()
+        with pytest.raises(ValueError, match=f"float64 vector of length {n}"):
+            estimators._spg_stage(make(n), np.arange(2), np.arange(n), ops, SolverConfig(bounds=(1, 9)), 1.0, 10, 1e-8)
+
+
+class TestPredictSfrMatchesReference:
+    """predict_sfr on the reference stage and on the real one: the same bytes."""
+
+    @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
+    def test_first_bound_users_of_the_bench_rings(self, shape, monkeypatch):
+        graph, split = _ring_graph(*shape)
+        cfg = SolverConfig(bounds=(1.0, 5.0))
+        items = list(graph.items)
+        p_mat, pt_mat = _walk_pair(graph)
+        real = estimators._spg_stage
+
+        def reference(x, free_idx, rows, ops, *rest):
+            return _reference_spg_stage(x, free_idx, rows, p_mat, pt_mat, *rest)
+
+        for observed in _bound_users(graph, split, 30):
+            got = predict_sfr(graph, observed, items, cfg)
+            monkeypatch.setattr(estimators, "_spg_stage", reference)
+            want = predict_sfr(graph, observed, items, cfg)
+            monkeypatch.setattr(estimators, "_spg_stage", real)
+            assert sorted(got.estimates) == sorted(want.estimates)
+            assert np.array([got.estimates[k] for k in sorted(got.estimates)]).tobytes() == \
+                np.array([want.estimates[k] for k in sorted(want.estimates)]).tobytes()
+            assert got.abstentions == want.abstentions
+            assert got.diagnostics == want.diagnostics
+            # the final objective, recomputed from the estimates with P @ x - x
+            solved = np.zeros(graph.item_count, dtype=bool)
+            vec = np.zeros(graph.item_count)
+            for name, value in got.estimates.items():
+                solved[graph.item_index[name]] = True
+                vec[graph.item_index[name]] = value
+            rows = np.flatnonzero(solved & (graph.degree > 0))
+            total = _reference_smoothed_sum(p_mat, vec, rows, cfg.p, cfg.smoothing_eps)[1]
+            assert np.float64(got.diagnostics.final_objective).tobytes() == np.float64(total ** (1 / cfg.p)).tobytes()
+
+
+def _apply(op, vec):
+    """``op`` (a :class:`CsrArrays`) times ``vec`` by scipy's ``csr_matvec`` kernel."""
+    n = op.indptr.size - 1
+    out = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, vec, out)
+    return out
+
+
+def _with_signed_zeros(rng, vec):
+    """``vec`` with about a quarter of its entries set to +0.0 and a quarter to -0.0."""
+    vec = vec.copy()
+    pick = rng.uniform(size=vec.size)
+    vec[pick < 0.25] = 0.0
+    vec[pick > 0.75] = -0.0
+    return vec
+
+
+def _reference_sfr_gradient(graph, values, free, config):
+    """sfr_gradient as it was written on scipy matrices: P^T @ u - u at the free items."""
+    free_idx = np.array(sorted(graph.item_index[name] for name in free), dtype=np.int64)
+    f = second_derivative(graph, values, config.source_tolerance)
+    u = np.zeros(graph.item_count)
+    u[f.defined] = _reference_phi_grad(f.values[f.defined], config.p, config.smoothing_eps)
+    g = _walk_pair(graph)[1] @ u - u
+    return g[free_idx]
+
+
+class TestSecondDifferenceOperators:
+    """The cached P - I arrays equal ``P @ x - x``, their transpose ``P.T @ u - u``, bit for bit."""
+
+    @staticmethod
+    def _check(graph, rng):
+        op, op_t = graph.second_difference_operators()
+        p_mat = graph.random_walk_matrix()
+        for _ in range(3):
+            x = _with_signed_zeros(rng, rng.normal(size=graph.item_count) * 10.0 ** rng.integers(-8, 8))
+            assert _apply(op, x).tobytes() == (p_mat @ x - x).tobytes()
+            assert _apply(op_t, x).tobytes() == (p_mat.T @ x - x).tobytes()
+        for x in (np.zeros(graph.item_count), -np.zeros(graph.item_count)):
+            assert _apply(op, x).tobytes() == (p_mat @ x - x).tobytes()
+            assert _apply(op_t, x).tobytes() == (p_mat.T @ x - x).tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_graphs_with_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, _ = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        assert np.any(graph.degree == 0)
+        self._check(graph, rng)
+
+    @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
+    def test_bench_rings(self, shape):
+        graph, _ = _ring_graph(*shape)
+        self._check(graph, np.random.default_rng(7))
+
+    def test_diagonal_last_read_only_and_cached(self, ladder):
+        ops = ladder.graph.second_difference_operators()
+        assert ladder.graph.second_difference_operators() is ops
+        for op in ops:
+            last = op.indptr[1:] - 1
+            assert op.indices[last].tolist() == list(range(ladder.graph.item_count))
+            assert np.all(op.data[last] == -1.0)
+            assert not any(arr.flags.writeable for arr in op)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_sfr_gradient_matches_scipy_matrices(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, observed = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        cfg = SolverConfig(bounds=(1, 5), smoothing_eps=float(rng.choice([1.0, 1e-2, 1e-6])))
+        values = _with_signed_zeros(rng, rng.uniform(1, 5, graph.item_count))
+        free = [name for name in graph.items if name not in observed]
+        got = sfr_gradient(graph, values, free, cfg)
+        assert got.tobytes() == _reference_sfr_gradient(graph, values, free, cfg).tobytes()
+
+    @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
+    def test_sfr_gradient_on_bench_rings(self, shape):
+        graph, split = _ring_graph(*shape)
+        cfg = SolverConfig(bounds=(1.0, 5.0))
+        rng = np.random.default_rng(3)
+        for observed in _bound_users(graph, split, 5):
+            values = rng.uniform(1, 5, graph.item_count)
+            free = [name for name in graph.items if name not in observed]
+            assert sfr_gradient(graph, values, free, cfg).tobytes() == \
+                _reference_sfr_gradient(graph, values, free, cfg).tobytes()
+
+
+_CLIP_FLOATS = st.floats(width=64) | st.sampled_from([0.0, -0.0, math.nan, math.inf, -math.inf])
+
+
+class TestClip:
+    """``estimators._clip`` is the ufunc behind ``np.clip``: the same values, NaN and signed zeros included."""
+
+    @given(
+        values=st.lists(_CLIP_FLOATS, max_size=20),
+        bounds=st.tuples(_CLIP_FLOATS, _CLIP_FLOATS).filter(lambda b: b[0] < b[1]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_clip(self, values, bounds):
+        vec = np.array(values, dtype=np.float64)
+        want = np.clip(vec, *bounds)
+        assert estimators._clip(vec, *bounds).tobytes() == want.tobytes()
+        estimators._clip(vec, *bounds, out=vec)
+        assert vec.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -614,7 +875,7 @@ def _csr_and_vector(draw):
 
 
 def _graph_matrices(graph):
-    return [graph.adjacency, graph.random_walk_matrix(), graph.random_walk_matrix_t()]
+    return [graph.adjacency, *_walk_pair(graph)]
 
 
 class TestMatvec:
