@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -46,7 +46,6 @@ class ExperimentConfig:
     max_iterations: int = SolverConfig.max_iterations
     objective_rel_tol: float = SolverConfig.objective_rel_tol
     source_tolerance: float = SolverConfig.source_tolerance
-    multi_start: int = SolverConfig.multi_start
     methods: str = "knn,hcp,sfr"
     output_dir: str = "out"
     jobs: int = 1
@@ -172,7 +171,7 @@ def cmd_build_graph(cfg: ExperimentConfig) -> int:
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
     if cfg.toy:
         split, graph = _toy_split(_toy_fixture(cfg.toy))
-        cfg = ExperimentConfig(**{**cfg.__dict__, "c_low": split.train.bounds[0], "c_high": split.train.bounds[1]})
+        cfg = replace(cfg, c_low=split.train.bounds[0], c_high=split.train.bounds[1])
     else:
         matrix = _parse_dataset(cfg)
         split = split_ratings(matrix, cfg.fraction, cfg.seed)
@@ -216,7 +215,7 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
     fix = _toy_fixture(which)
     graph = fix.graph
     targets = set(graph.items)
-    solver = SolverConfig(bounds=fix.bounds)
+    solver = replace(cfg, c_low=fix.bounds[0], c_high=fix.bounds[1]).solver_config()
     if method == "knn":
         rec = predict_knn(graph, fix.observed, targets)
     elif method == "hcp":

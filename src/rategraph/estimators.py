@@ -38,10 +38,9 @@ try:
 except ImportError:
     from numpy.core.umath import clip as _clip
 
-from .graph import CsrArrays, ItemGraph, second_derivative
+from .graph import CsrArrays, ItemGraph, _defined_values
 
 __all__ = [
-    "METHODS",
     "ConvergenceError",
     "SolverConfig",
     "SolverDiagnostics",
@@ -56,8 +55,6 @@ __all__ = [
     "l0_oracle",
 ]
 
-METHODS = ("knn", "hcp", "sfr", "l0_oracle")
-
 # the harmonic CG solve stops once every free second derivative is this
 # fraction of the largest observed rating magnitude
 _CG_REL_TOL = 1e-12
@@ -71,10 +68,6 @@ _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
 # continuation starts smoothing at one rating unit and divides by 10 per stage
 _EPS_START = 1.0
-# extra starts (multi_start > 1) add uniform noise of this half-width to the
-# warm start, drawn from a generator with this seed
-_RESTART_NOISE = 0.5
-_RESTART_SEED = 0
 
 
 class ConvergenceError(RuntimeError):
@@ -91,8 +84,6 @@ class SolverConfig:
     max_iterations: int = 10_000
     objective_rel_tol: float = 1e-8
     source_tolerance: float = 1e-3
-    # extra perturbed warm starts (the objective is nonconvex); 1 = single start
-    multi_start: int = 1
 
     def __post_init__(self) -> None:
         c_l, c_h = self.bounds
@@ -108,8 +99,6 @@ class SolverConfig:
             raise ValueError("objective_rel_tol must be positive")
         if self.source_tolerance <= 0:
             raise ValueError("source_tolerance must be positive")
-        if self.multi_start < 1:
-            raise ValueError("multi_start must be at least 1")
 
 
 @dataclass
@@ -392,21 +381,6 @@ def _gradient(
     return g
 
 
-def _defined_values(graph: ItemGraph, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A complete vector with 0 at degree-0 items, and the indices of the other items.
-
-    Raises on a vector of the wrong length or one that is not finite where
-    the second derivative is defined.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (graph.item_count,):
-        raise ValueError("values must have one entry per item")
-    defined = graph.degree > 0
-    if not np.all(np.isfinite(values[defined])):
-        raise ValueError("values contain non-finite entries on connected items")
-    return np.where(defined, values, 0.0), np.flatnonzero(defined)
-
-
 def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) -> float:
     """Smoothed l_p norm of the second derivative of a complete vector.
 
@@ -593,39 +567,27 @@ def predict_sfr(
     obs_mask = np.zeros(graph.item_count, dtype=bool)
     obs_mask[obs_idx] = True
     free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
-    row_mask = solved & (graph.degree > 0)
-    rows = np.flatnonzero(row_mask)
+    rows = np.flatnonzero(solved & (graph.degree > 0))
     warm = np.where(solved, warm_nan, 0.0)
     op = graph.second_difference_operators()[0]
 
-    def final_objective(vec: np.ndarray) -> float:
-        return _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)[2]
+    def final_objective(vec: np.ndarray) -> tuple[np.ndarray, float]:
+        s, _, total = _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)
+        return s, total
 
     best = warm
-    best_obj = final_objective(warm)
+    best_s, best_obj = final_objective(warm)
     iterations = 0
     converged = True
     if free_idx.size:
-        starts: list[np.ndarray] = [warm]
-        if config.multi_start > 1:
-            rng = np.random.Generator(np.random.PCG64(_RESTART_SEED))
-            for _ in range(config.multi_start - 1):
-                perturbed = warm.copy()
-                noise = rng.uniform(-_RESTART_NOISE, _RESTART_NOISE, free_idx.size)
-                perturbed[free_idx] = np.clip(perturbed[free_idx] + noise, *config.bounds)
-                starts.append(perturbed)
-        for start in starts:
-            x, used, conv = _recover(start, free_idx, rows, graph, config)
-            obj = final_objective(x)
-            if obj < best_obj:
-                best, best_obj, iterations, converged = x, obj, used, conv
-            elif start is starts[0]:
-                iterations, converged = used, conv
+        x, iterations, converged = _recover(warm, free_idx, rows, graph, config)
+        s, obj = final_objective(x)
+        if obj < best_obj:
+            best, best_s, best_obj = x, s, obj
 
     values = np.where(solved, best, np.nan)
-    unsmoothed = second_derivative(graph, np.where(row_mask, best, 0.0), config.source_tolerance)
-    masked = np.where(row_mask, unsmoothed.values, 0.0)
-    source_count = int(np.sum(np.abs(np.nan_to_num(masked)) > config.source_tolerance))
+    # a row's second derivative reads only items that are rows themselves
+    source_count = int(np.count_nonzero(np.abs(best_s) > config.source_tolerance))
     diag = SolverDiagnostics(
         iterations_used=iterations,
         final_objective=best_obj ** (1.0 / config.p),
@@ -699,7 +661,8 @@ def l0_oracle(
 
     free_idx = np.flatnonzero(active & ~obs_mask)
     eq_rows = candidates  # second derivative is defined exactly on active rows
-    m_dense = graph.random_walk_matrix().toarray() - np.eye(n)
+    op = graph.second_difference_operators()[0]
+    m_dense = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n)).toarray()
     a_full = m_dense[np.ix_(eq_rows, free_idx)]
     rhs_full = -m_dense[np.ix_(eq_rows, obs_idx)] @ obs_val
     row_pos = {int(r): k for k, r in enumerate(eq_rows)}

@@ -71,8 +71,7 @@ class ItemGraph:
         self._validate()
         self.degree: np.ndarray = np.asarray(w.sum(axis=1)).ravel()
         self.degree.setflags(write=False)
-        # lazy caches (random-walk matrix, P - I pair, component labels)
-        self._p: Optional[sparse.csr_matrix] = None
+        # lazy caches (P - I and its transpose, component labels)
         self._ops: Optional[tuple[CsrArrays, CsrArrays]] = None
         self._labels: Optional[np.ndarray] = None
 
@@ -139,28 +138,22 @@ class ItemGraph:
             if i < j:
                 yield int(i), int(j), float(w)
 
-    def random_walk_matrix(self) -> sparse.csr_matrix:
-        """D^-1 W with zero rows for degree-0 items (cached)."""
-        if self._p is None:
-            inv = np.zeros(self.item_count)
-            nz = self.degree > 0
-            inv[nz] = 1.0 / self.degree[nz]
-            p = sparse.diags(inv) @ self._w
-            self._p = p.tocsr()
-            self._p.sort_indices()
-        return self._p
-
     def second_difference_operators(self) -> tuple[CsrArrays, CsrArrays]:
         """P - I and its transpose as raw CSR arrays, for scipy's ``csr_matvec`` (cached).
 
-        Each row holds the row's entries of P (or of P^T) in ascending column
-        order and then its diagonal -1. ``csr_matvec`` sums a row from 0 in
-        stored order, so it ends in ``+ (-1) * x[i]``, which rounds exactly as
-        the ``- x[i]`` of ``P @ x - x`` does: the results are equal bit for
+        P = D^-1 W is the random-walk matrix, with zero rows at degree-0
+        items. Each row holds the row's entries of P (or of P^T) in ascending
+        column order and then its diagonal -1. ``csr_matvec`` sums a row from 0
+        in stored order, so it ends in ``+ (-1) * x[i]``, which rounds exactly
+        as the ``- x[i]`` of ``P @ x - x`` does: the results are equal bit for
         bit. The arrays are read-only.
         """
         if self._ops is None:
-            p = self.random_walk_matrix()
+            inv = np.zeros(self.item_count)
+            nz = self.degree > 0
+            inv[nz] = 1.0 / self.degree[nz]
+            p = (sparse.diags(inv) @ self._w).tocsr()
+            p.sort_indices()
             pt = p.T.tocsr()
             pt.sort_indices()
             self._ops = (_minus_identity(p), _minus_identity(pt))
@@ -363,6 +356,21 @@ def _dense_product(a: tuple, b: tuple, n_col: int, rows: int, cj: np.ndarray, cx
     return out
 
 
+def _defined_values(graph: ItemGraph, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A complete vector with 0 at degree-0 items, and the indices of the other items.
+
+    Raises on a vector of the wrong length or one that is not finite where
+    the second derivative is defined.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (graph.item_count,):
+        raise ValueError("values must have one entry per item")
+    defined = graph.degree > 0
+    if not np.all(np.isfinite(values[defined])):
+        raise ValueError("values contain non-finite entries on connected items")
+    return np.where(defined, values, 0.0), np.flatnonzero(defined)
+
+
 def second_derivative(
     graph: ItemGraph,
     values: np.ndarray,
@@ -373,16 +381,13 @@ def second_derivative(
     ``values`` must hold one finite number per item with positive degree;
     entries at degree-0 items are ignored and come back NaN.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if values.shape != (graph.item_count,):
-        raise ValueError("values must have one entry per item")
+    safe, _ = _defined_values(graph, values)
+    n = graph.item_count
+    op = graph.second_difference_operators()[0]
+    out = np.zeros(n)
+    _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, safe, out)
     defined = graph.degree > 0
-    if not np.all(np.isfinite(values[defined])):
-        raise ValueError("values contain non-finite entries on connected items")
-    safe = np.where(defined, values, 0.0)
-    avg = graph.random_walk_matrix() @ safe
-    out = np.where(defined, avg - safe, np.nan)
-    return SecondDerivativeField(out, defined, source_tolerance)
+    return SecondDerivativeField(np.where(defined, out, np.nan), defined, source_tolerance)
 
 
 # -- edge-list TSV serialization ----------------------------------------------

@@ -45,19 +45,22 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="no_such_knob"):
             ExperimentConfig.from_file(str(path))
 
-    def test_removed_step_keys_rejected(self, tmp_path):
-        # the line search's first step and halving factor are fixed, not settings
+    # the line search's first step is fixed and restarts are gone: neither is a setting
+    @pytest.mark.parametrize("line", ["initial_step=0.2", "multi_start=4"])
+    def test_removed_step_keys_rejected(self, tmp_path, line):
         path = tmp_path / "old.cfg"
-        path.write_text("# written before the step keys were removed\nthreshold=0.9\ninitial_step=0.2\n", encoding="utf-8")
+        path.write_text(f"# written before the key was removed\nthreshold=0.9\n{line}\n", encoding="utf-8")
         with pytest.raises(ValueError) as err:
             ExperimentConfig.from_file(str(path))
-        assert str(err.value) == f"{path}:3: unknown config key 'initial_step'"
+        key = line.partition("=")[0]
+        assert str(err.value) == f"{path}:3: unknown config key '{key}'"
 
-    def test_removed_step_flag_rejected(self, capsys):
+    @pytest.mark.parametrize("flag", [["--backtrack-factor", "0.3"], ["--multi-start", "4"]], ids=lambda f: f[0])
+    def test_removed_step_flag_rejected(self, capsys, flag):
         with pytest.raises(SystemExit) as exit_info:
-            main(["evaluate", "--toy", "ladder26", "--backtrack-factor", "0.3"])
+            main(["evaluate", "--toy", "ladder26", *flag])
         assert exit_info.value.code == 2
-        assert "--backtrack-factor" in capsys.readouterr().err
+        assert flag[0] in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "line, message",
@@ -252,6 +255,12 @@ class TestToyCommand:
             if parts[-1] == "*":
                 flagged.add(name)
         assert flagged == {"v1", "v26"}
+
+    def test_solver_flags_reach_sfr(self, capsys):
+        _, default, _ = _run(capsys, "toy", "ladder26", "sfr")
+        code, capped, _ = _run(capsys, "toy", "ladder26", "sfr", "--max-iterations", "7")
+        assert code == 0
+        assert capped != default
 
     def test_unknown_toy_errors(self, capsys):
         code, _, err = _run(capsys, "evaluate", "--toy", "pyramid")

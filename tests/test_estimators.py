@@ -462,23 +462,6 @@ class TestPredictSfr:
         assert len(flags) > 1 and flags[-1]
         assert not rec.diagnostics.converged
 
-    def test_multi_start_is_deterministic(self, square, monkeypatch):
-        monkeypatch.setattr(estimators, "_RESTART_SEED", 5)
-        cfg = SolverConfig(bounds=square.bounds, multi_start=3)
-        a = predict_sfr(square.graph, square.observed, {"B", "D"}, cfg)
-        b = predict_sfr(square.graph, square.observed, {"B", "D"}, cfg)
-        assert a.estimates == b.estimates
-
-    def test_multi_start_never_loses_to_single_start(self, ladder, monkeypatch):
-        monkeypatch.setattr(estimators, "_RESTART_SEED", 2)
-        single = SolverConfig(bounds=ladder.bounds)
-        multi = SolverConfig(bounds=ladder.bounds, multi_start=3)
-        one = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), single)
-        many = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), multi)
-        assert many.diagnostics.final_objective <= one.diagnostics.final_objective + 1e-9
-        for name, truth in ladder.ground_truth.items():
-            assert many.estimates[name] == pytest.approx(truth, abs=1e-2)
-
 
 def _graph_with_gaps(rng, n, unobserved_component):
     """Random connected graph on n items plus a degree-0 item and, if asked, a 3-item second component.
@@ -527,9 +510,20 @@ def _stage_inputs(graph, observed, config):
     return free_idx, rows, np.where(solved, warm, 0.0), graph.second_difference_operators()
 
 
+def _walk_matrix(graph):
+    """D^-1 W with zero rows for degree-0 items, built as a scipy matrix apart from the fused operator."""
+    inv = np.zeros(graph.item_count)
+    nz = graph.degree > 0
+    inv[nz] = 1.0 / graph.degree[nz]
+    p = sparse.diags(inv) @ graph.adjacency
+    p = p.tocsr()
+    p.sort_indices()
+    return p
+
+
 def _walk_pair(graph):
     """P and P^T as sorted scipy CSR matrices."""
-    p_mat = graph.random_walk_matrix()
+    p_mat = _walk_matrix(graph)
     pt_mat = p_mat.T.tocsr()
     pt_mat.sort_indices()
     return p_mat, pt_mat
@@ -767,40 +761,64 @@ def _with_signed_zeros(rng, vec):
 def _reference_sfr_gradient(graph, values, free, config):
     """sfr_gradient as it was written on scipy matrices: P^T @ u - u at the free items."""
     free_idx = np.array(sorted(graph.item_index[name] for name in free), dtype=np.int64)
-    f = second_derivative(graph, values, config.source_tolerance)
+    p_mat, pt_mat = _walk_pair(graph)
+    defined = graph.degree > 0
+    vec = np.where(defined, values, 0.0)
+    s = p_mat @ vec - vec
     u = np.zeros(graph.item_count)
-    u[f.defined] = _reference_phi_grad(f.values[f.defined], config.p, config.smoothing_eps)
-    g = _walk_pair(graph)[1] @ u - u
+    u[defined] = _reference_phi_grad(s[defined], config.p, config.smoothing_eps)
+    g = pt_mat @ u - u
     return g[free_idx]
 
 
 class TestSecondDifferenceOperators:
-    """The cached P - I arrays equal ``P @ x - x``, their transpose ``P.T @ u - u``, bit for bit."""
+    """The cached P - I arrays equal ``P @ x - x``, their transpose ``P.T @ u - u``, bit for bit.
+
+    So do the second derivatives computed from them: :func:`second_derivative`
+    and the source count of :func:`predict_sfr`.
+    """
 
     @staticmethod
-    def _check(graph, rng):
+    def _check(graph, rng, observed_sets):
         op, op_t = graph.second_difference_operators()
-        p_mat = graph.random_walk_matrix()
+        p_mat = _walk_matrix(graph)
+        defined = graph.degree > 0
         for _ in range(3):
             x = _with_signed_zeros(rng, rng.normal(size=graph.item_count) * 10.0 ** rng.integers(-8, 8))
             assert _apply(op, x).tobytes() == (p_mat @ x - x).tobytes()
             assert _apply(op_t, x).tobytes() == (p_mat.T @ x - x).tobytes()
+            safe = np.where(defined, x, 0.0)
+            want = np.where(defined, p_mat @ safe - safe, np.nan)
+            assert second_derivative(graph, x).values.tobytes() == want.tobytes()
         for x in (np.zeros(graph.item_count), -np.zeros(graph.item_count)):
             assert _apply(op, x).tobytes() == (p_mat @ x - x).tobytes()
             assert _apply(op_t, x).tobytes() == (p_mat.T @ x - x).tobytes()
+        cfg = SolverConfig(bounds=(1.0, 5.0))
+        for observed in observed_sets:
+            rec = predict_sfr(graph, observed, graph.items, cfg)
+            # the count as it was made before: P @ x - x on the estimates, zero off the objective's rows
+            rows = np.zeros(graph.item_count, dtype=bool)
+            vec = np.zeros(graph.item_count)
+            for name, value in rec.estimates.items():
+                rows[graph.item_index[name]] = True
+                vec[graph.item_index[name]] = value
+            rows &= defined
+            vec = np.where(rows, vec, 0.0)
+            s = p_mat @ vec - vec
+            assert rec.diagnostics.source_count == int(np.sum(np.abs(s[rows]) > cfg.source_tolerance))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_graphs_with_gaps(self, seed):
         rng = np.random.default_rng(seed)
-        graph, _ = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        graph, observed = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
         assert np.any(graph.degree == 0)
-        self._check(graph, rng)
+        self._check(graph, rng, [observed])
 
     @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
     def test_bench_rings(self, shape):
-        graph, _ = _ring_graph(*shape)
-        self._check(graph, np.random.default_rng(7))
+        graph, split = _ring_graph(*shape)
+        self._check(graph, np.random.default_rng(7), _bound_users(graph, split, 10))
 
     def test_diagonal_last_read_only_and_cached(self, ladder):
         ops = ladder.graph.second_difference_operators()
@@ -934,7 +952,6 @@ class TestSolverConfig:
             {"max_iterations": 0},
             {"objective_rel_tol": 0.0},
             {"source_tolerance": 0.0},
-            {"multi_start": 0},
             {"bounds": (5, 1)},
         ],
     )
@@ -949,11 +966,9 @@ class TestSolverConfig:
         with pytest.raises(FrozenInstanceError):
             cfg.p = 0.25
 
-    def test_seven_settings(self):
+    def test_six_settings(self):
         names = [f.name for f in fields(SolverConfig)]
-        assert names == [
-            "bounds", "p", "smoothing_eps", "max_iterations", "objective_rel_tol", "source_tolerance", "multi_start",
-        ]
+        assert names == ["bounds", "p", "smoothing_eps", "max_iterations", "objective_rel_tol", "source_tolerance"]
 
 
 class TestL0Oracle:
