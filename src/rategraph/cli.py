@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -254,9 +255,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, names: Optional[set[str]] = None) -> None:
         p.add_argument("--config", help="key=value config file")
         for f in fields(ExperimentConfig):
+            if names is not None and f.name not in names:
+                continue
             if f.type in ("int", int):
                 p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=int)
             elif f.type in ("float", float):
@@ -269,22 +272,36 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     toy_parser = sub.add_parser("toy")
     toy_parser.add_argument("which", choices=["square", "ladder26"])
     toy_parser.add_argument("method", choices=["knn", "hcp", "sfr"])
-    add_common(toy_parser)
+    # the toy brings its own data and bounds and writes no files, so it takes
+    # only the solver settings; argparse rejects any other flag
+    add_common(toy_parser, {f.name for f in fields(SolverConfig)} - {"bounds"})
 
     args = parser.parse_args(argv)
     try:
         cfg = _load_config(args)
         if args.command == "build-graph":
-            return cmd_build_graph(cfg)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg)
-        if args.command == "predict":
-            return cmd_predict(cfg)
-        if args.command == "examine":
-            return cmd_examine(cfg)
-        if args.command == "toy":
-            return cmd_toy(cfg, args.which, args.method)
-        raise ValueError(f"unknown command {args.command!r}")
+            status = cmd_build_graph(cfg)
+        elif args.command == "evaluate":
+            status = cmd_evaluate(cfg)
+        elif args.command == "predict":
+            status = cmd_predict(cfg)
+        elif args.command == "examine":
+            status = cmd_examine(cfg)
+        elif args.command == "toy":
+            status = cmd_toy(cfg, args.which, args.method)
+        else:
+            raise ValueError(f"unknown command {args.command!r}")
+        # a reader that closed stdout fails the flush here rather than at exit
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader of stdout is gone (``| head``): as the signal module's
+        # docs advise, point stdout at devnull so that the flush at exit
+        # cannot fail again, and exit 1 without a message
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (OSError, ValueError, KeyError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1

@@ -430,6 +430,10 @@ def _eps_schedule(eps_final: float) -> list[float]:
     return out
 
 
+# a stage between two iterations: objective, free gradient, step length alpha, iterations done
+_StageState = tuple[float, np.ndarray, float, int]
+
+
 def _spg_stage(
     x: np.ndarray,
     free_idx: np.ndarray,
@@ -439,6 +443,7 @@ def _spg_stage(
     eps: float,
     budget: int,
     rel_tol: float,
+    resume: Optional[_StageState] = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Spectral projected gradient descent at one smoothing level.
 
@@ -454,7 +459,9 @@ def _spg_stage(
     the last case. The objective is non-increasing across accepted steps by
     construction. ``rows`` indexes the items whose second derivative enters
     the objective; ``ops`` is :meth:`ItemGraph.second_difference_operators`.
-    ``x`` itself is not modified.
+    ``x`` itself is not modified. ``resume`` continues a stage that
+    :func:`_spg_block` began, from the objective, free gradient, step length
+    and iteration count it had reached at ``x``.
     """
     c_l, c_h = config.bounds
     p = config.p
@@ -469,11 +476,13 @@ def _spg_stage(
     u = np.zeros(n)
     # the iterate and the trial buffer; they trade places on each accepted step
     x, trial = x.copy(), x.copy()
-    s, q, obj = _smoothed_sum(op, x, rows, p, eps)
-    g = _gradient(op_t, s, q, u, rows, p)[free_idx]
+    if resume is None:
+        s, q, obj = _smoothed_sum(op, x, rows, p, eps)
+        g = _gradient(op_t, s, q, u, rows, p)[free_idx]
+        alpha, iters = _INITIAL_STEP, 0
+    else:
+        obj, g, alpha, iters = resume
     x_free = x[free_idx]
-    alpha = _INITIAL_STEP
-    iters = 0
     while iters < budget:
         iters += 1
         d = x_free - alpha * g
@@ -506,12 +515,19 @@ def _spg_stage(
     return x, iters, False
 
 
+def _stage_budget(config: SolverConfig, n_stages: int, stage: int, used: int) -> Optional[int]:
+    """Iterations for ``stage``: an even share of those left, or None when none are left."""
+    remaining = config.max_iterations - used
+    return max(1, remaining // (n_stages - stage)) if remaining > 0 else None
+
+
 def _recover(
     warm: np.ndarray,
     free_idx: np.ndarray,
     rows: np.ndarray,
     graph: ItemGraph,
     config: SolverConfig,
+    resume: Optional[tuple[int, int, bool, int, Optional[_StageState]]] = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Continuation loop: anneal the smoothing from one rating unit down.
 
@@ -524,25 +540,233 @@ def _recover(
     share of the iterations still left.
 
     Reports convergence only if every stage converged within its budget.
+    ``resume`` is where :func:`_spg_block` hands a column over: its stage,
+    the iterations of the stages before it, whether they all converged, the
+    stage's budget and the stage's state, None at the stage's start.
     """
     ops = graph.second_difference_operators()
     stages = _eps_schedule(config.smoothing_eps)
     x = warm
-    used = 0
-    converged = True
-    for si, eps in enumerate(stages):
-        remaining = config.max_iterations - used
-        if remaining <= 0:
-            converged = False
-            break
-        budget = max(1, remaining // (len(stages) - si))
-        x, iters, stage_converged = _spg_stage(
-            x, free_idx, rows, ops, config, eps, budget,
-            config.objective_rel_tol,
-        )
+    stage, used, converged, budget, state = resume if resume is not None else (0, 0, True, None, None)
+    for si in range(stage, len(stages)):
+        if budget is None:
+            budget = _stage_budget(config, len(stages), si, used)
+            if budget is None:
+                converged = False
+                break
+        args = (x, free_idx, rows, ops, config, stages[si], budget, config.objective_rel_tol)
+        x, iters, stage_converged = _spg_stage(*args) if state is None else _spg_stage(*args, resume=state)
         used += iters
         converged = converged and stage_converged
+        budget = state = None
     return x, used, converged
+
+
+@dataclass(frozen=True)
+class _SfrStart:
+    """What :func:`predict_sfr` sets up before descending: the harmonic warm
+    start (0 where unsolved), the solved mask, the free items and the rows of
+    the objective."""
+
+    warm: np.ndarray
+    solved: np.ndarray
+    free_idx: np.ndarray
+    rows: np.ndarray
+
+
+def _sfr_start(graph: ItemGraph, observed: dict[str, float], config: SolverConfig) -> _SfrStart:
+    obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)
+    warm, solved = _harmonic_extend(graph, obs_idx, obs_val)
+    obs_mask = np.zeros(graph.item_count, dtype=bool)
+    obs_mask[obs_idx] = True
+    free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
+    rows = np.flatnonzero(solved & (graph.degree > 0))
+    return _SfrStart(np.where(solved, warm, 0.0), solved, free_idx, rows)
+
+
+# a block column's place in its stage: its start is to be evaluated, it is
+# searching along a direction, or its descent has ended
+_NEW_STAGE, _SEARCH, _DONE = range(3)
+
+
+def _spg_block(
+    starts: list[_SfrStart], graph: ItemGraph, config: SolverConfig
+) -> list[tuple[np.ndarray, int, bool]]:
+    """:func:`_recover` for several users at once, one column of an (n x k) block per user.
+
+    Returns what :func:`_recover` returns for each start alone, bit for
+    bit; every start must have a free item. Starts whose objective rows
+    are not every item (a degree-0 item, or a component without an
+    observation) run on :func:`_recover`, and so does every start when the
+    rating box holds 0: clipping against the array bounds below can give a
+    zero the other sign than clipping against scalar ones.
+
+    Each tick evaluates one vector per column with a single
+    ``csr_matvecs`` call, and the gradient of the whole block with one call
+    on the transposed arrays. Each column keeps its own smoothing stage,
+    budget, iteration count, objective, step length alpha and line-search
+    fraction lambda; a column whose trial is refused halves its lambda while
+    the others move on. The operations are those of :func:`_spg_stage`,
+    applied to every column at once: the element-wise ones round the same
+    in any layout, each column's objective is a contiguous sum over its own
+    items, and the Barzilai-Borwein dot products are taken per column over
+    its own gathered free items. The observed entries are kept by clipping
+    each trial to bounds that equal them there. A column that ends its last
+    stage leaves the block. The last column left goes on with
+    :func:`_spg_stage` from its next iteration, since one vector costs less
+    alone than as a block of one.
+    """
+    n = graph.item_count
+    c_l, c_h = config.bounds
+    out: list = [None] * len(starts)
+    user = [i for i, st in enumerate(starts) if st.rows.size == n and (c_l > 0 or c_h < 0)]
+    if len(user) < 2:
+        user = []
+    for i, st in enumerate(starts):
+        if i not in user:
+            out[i] = _recover(st.warm, st.free_idx, st.rows, graph, config)
+    if not user:
+        return out
+    rows = starts[user[0]].rows
+    op, op_t = graph.second_difference_operators()
+    stages = _eps_schedule(config.smoothing_eps)
+    p = config.p
+    rel_tol = config.objective_rel_tol
+    k = len(user)
+    # per-column state; numpy scalars and masks cost more than they save here
+    free = [starts[i].free_idx for i in user]
+    stage = [0] * k
+    used = [0] * k
+    converged = [True] * k
+    budget = [_stage_budget(config, len(stages), 0, 0)] * k
+    iters = [0] * k
+    obj = [0.0] * k
+    alpha = [_INITIAL_STEP] * k
+    lam = [1.0] * k
+    tries = [0] * k
+    phase = [_NEW_STAGE] * k
+    restart = list(range(k))
+
+    x = np.array([starts[i].warm for i in user]).T.copy()
+    g = np.zeros((n, k))
+    # the box on free entries, the observed value itself on the others
+    lo, hi = x.copy(), x.copy()
+    for j, free_idx in enumerate(free):
+        lo[free_idx, j] = c_l
+        hi[free_idx, j] = c_h
+    eps2 = np.full((n, k), stages[0] * stages[0])
+    eps_p = np.full((n, k), stages[0] ** p)
+
+    def end_stage(j: int, stage_converged: bool) -> None:
+        used[j] += iters[j]
+        converged[j] = converged[j] and stage_converged
+        stage[j] += 1
+        if stage[j] < len(stages):
+            budget[j] = _stage_budget(config, len(stages), stage[j], used[j])
+            if budget[j] is not None:
+                eps = stages[stage[j]]
+                eps2[:, j] = eps * eps
+                eps_p[:, j] = eps**p
+                phase[j] = _NEW_STAGE
+                restart.append(j)
+                return
+            converged[j] = False
+        phase[j] = _DONE
+
+    flat = None
+    while True:
+        if flat is None or _DONE in phase:
+            keep = [j for j in range(k) if phase[j] != _DONE]
+            for j in range(k):
+                if phase[j] == _DONE:
+                    out[user[j]] = (x[:, j].copy(), used[j], converged[j])
+            if len(keep) < k:
+                cols = (user, free, stage, used, converged, budget, iters, obj, alpha, lam, tries, phase)
+                for col in cols:
+                    col[:] = [col[j] for j in keep]
+                restart[:] = [keep.index(j) for j in restart]
+                x, g, lo, hi, eps2, eps_p = (a[:, keep] for a in (x, g, lo, hi, eps2, eps_p))
+                k = len(keep)
+            if k == 1 and (phase[0] == _NEW_STAGE or tries[0] == 0):
+                state = None if phase[0] == _NEW_STAGE else (obj[0], g[free[0], 0], alpha[0], iters[0] - 1)
+                resume = (stage[0], used[0], converged[0], budget[0], state)
+                out[user[0]] = _recover(x[:, 0].copy(), free[0], rows, graph, config, resume)
+                k = 0
+            if k == 0:
+                return out
+            trial = np.empty((n, k))
+            # each column's free entries in the flattened block, in ascending item order
+            flat = [free_idx * k + j for j, free_idx in enumerate(free)]
+
+        # d = clip(x - alpha g) - x; unchanged while a column searches along it
+        d = g * np.array(alpha)
+        np.subtract(x, d, out=d)
+        _clip(d, lo, hi, out=d)
+        d -= x
+        # x + d, or x + lambda d once a column has halved lambda
+        np.add(x, d * np.array(lam) if lam.count(1.0) < k else d, out=trial)
+        _clip(trial, lo, hi, out=trial)
+        for j in restart:
+            trial[:, j] = x[:, j]
+        restart.clear()
+
+        s = np.zeros((n, k))
+        _sparsetools.csr_matvecs(n, n, k, op.indptr, op.indices, op.data, trial.ravel(), s.ravel())
+        q = s * s
+        q += eps2
+        t = q ** (0.5 * p)
+        t -= eps_p
+        # a C-contiguous row per column, so each sum is the pairwise sum of one vector
+        totals = np.add.reduce(t.T.copy(), axis=1).tolist()
+
+        moved = []
+        accepted = []
+        for j in range(k):
+            if phase[j] == _SEARCH:
+                if totals[j] < obj[j]:
+                    moved.append(j)
+                    accepted.append(j)
+                elif tries[j] == 0 and not np.count_nonzero(d[:, j]):
+                    # a zero direction: the stage is at a stationary point
+                    end_stage(j, True)
+                elif tries[j] + 1 == _MAX_BACKTRACKS:
+                    end_stage(j, True)
+                else:
+                    tries[j] += 1
+                    lam[j] *= _BACKTRACK_FACTOR
+            else:
+                obj[j] = totals[j]
+                alpha[j] = _INITIAL_STEP
+                iters[j], lam[j], tries[j], phase[j] = 1, 1.0, 0, _SEARCH
+                moved.append(j)
+        if not moved:
+            continue
+
+        q **= 0.5 * p - 1.0
+        q *= p * s
+        g_new = np.zeros((n, k))
+        _sparsetools.csr_matvecs(n, n, k, op_t.indptr, op_t.indices, op_t.data, q.ravel(), g_new.ravel())
+        if accepted:
+            step, dg = trial - x, g_new - g
+            for j in accepted:
+                step_j = step.take(flat[j])
+                sy = step_j.dot(dg.take(flat[j]))
+                alpha[j] = min(max(step_j.dot(step_j) / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
+                drop = obj[j] - totals[j]
+                obj[j] = totals[j]
+                if drop < rel_tol * max(abs(obj[j]), 1e-300):
+                    end_stage(j, True)
+                elif iters[j] == budget[j]:
+                    end_stage(j, False)
+                else:
+                    iters[j] += 1
+                    lam[j], tries[j] = 1.0, 0
+        # the moved columns take their trial and its gradient; the others keep theirs
+        x, trial, g, g_new = trial, x, g_new, g
+        if len(moved) < k:
+            for j in set(range(k)).difference(moved):
+                x[:, j] = trial[:, j]
+                g[:, j] = g_new[:, j]
 
 
 def predict_sfr(
@@ -550,6 +774,8 @@ def predict_sfr(
     observed: dict[str, float],
     targets: Iterable[str],
     config: SolverConfig,
+    *,
+    _descent: Optional[tuple[_SfrStart, Optional[tuple[np.ndarray, int, bool]]]] = None,
 ) -> UserRecovery:
     """Scalar function recovery: minimize the smoothed l_p norm of grad2 R.
 
@@ -561,31 +787,31 @@ def predict_sfr(
     the warm start is returned, so the result never loses to harmonic
     interpolation on the final objective.
     Abstention rules are identical to :func:`predict_hcp`.
+
+    ``_descent`` is private to :func:`rategraph.evaluation.evaluate`: this
+    user's set-up, and the ``(x, iterations, converged)`` of a descent
+    already run in a block, or None to descend here.
     """
-    obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)
-    warm_nan, solved = _harmonic_extend(graph, obs_idx, obs_val)
-    obs_mask = np.zeros(graph.item_count, dtype=bool)
-    obs_mask[obs_idx] = True
-    free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
-    rows = np.flatnonzero(solved & (graph.degree > 0))
-    warm = np.where(solved, warm_nan, 0.0)
+    start, descent = _descent if _descent is not None else (_sfr_start(graph, observed, config), None)
+    if descent is None and start.free_idx.size:
+        descent = _recover(start.warm, start.free_idx, start.rows, graph, config)
     op = graph.second_difference_operators()[0]
 
     def final_objective(vec: np.ndarray) -> tuple[np.ndarray, float]:
-        s, _, total = _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)
+        s, _, total = _smoothed_sum(op, vec, start.rows, config.p, config.smoothing_eps)
         return s, total
 
-    best = warm
-    best_s, best_obj = final_objective(warm)
+    best = start.warm
+    best_s, best_obj = final_objective(best)
     iterations = 0
     converged = True
-    if free_idx.size:
-        x, iterations, converged = _recover(warm, free_idx, rows, graph, config)
+    if descent is not None:
+        x, iterations, converged = descent
         s, obj = final_objective(x)
         if obj < best_obj:
             best, best_s, best_obj = x, s, obj
 
-    values = np.where(solved, best, np.nan)
+    values = np.where(start.solved, best, np.nan)
     # a row's second derivative reads only items that are rows themselves
     source_count = int(np.count_nonzero(np.abs(best_s) > config.source_tolerance))
     diag = SolverDiagnostics(
@@ -594,7 +820,7 @@ def predict_sfr(
         source_count=source_count,
         converged=converged,
     )
-    return _assemble(graph, observed, targets, values, solved, "sfr", diag)
+    return _assemble(graph, observed, targets, values, start.solved, "sfr", diag)
 
 
 # -- exhaustive minimal-source oracle ----------------------------------------------

@@ -12,12 +12,13 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass, field
+from math import ceil
 from typing import IO, Optional, Sequence
 
 import numpy as np
 
 from .data import RatingMatrix, RatingRecord, Split
-from .estimators import SolverConfig, predict_hcp, predict_knn, predict_sfr
+from .estimators import SolverConfig, SolverDiagnostics, _sfr_start, _spg_block, predict_hcp, predict_knn, predict_sfr
 from .graph import ItemGraph
 
 __all__ = [
@@ -160,7 +161,11 @@ class _UserTask:
 @dataclass
 class _UserResult:
     predictions: dict[str, dict[str, tuple[float, bool]]]
-    sfr_diag: Optional[tuple[int, bool, float, int]] = None
+    sfr_diag: Optional[SolverDiagnostics] = None
+
+
+def _bound_items(task: _UserTask) -> set[str]:
+    return {rec.item_id for rec, cls in zip(task.records, task.classes) if cls in (BoundClass.HIGHER, BoundClass.LOWER)}
 
 
 def _method_predictions(
@@ -170,19 +175,17 @@ def _method_predictions(
     methods: Sequence[str],
     config: SolverConfig,
     fallback: float,
+    sfr_descent: Optional[tuple] = None,
 ) -> _UserResult:
     """Per-method {item: (estimate, is_fallback)} for one user.
 
     kNN covers every test item (its residuals feed the error-contribution
     table); hcp/sfr cover the bound-problem items only, which is what their
     RMSE is reported on. Abstentions fall back to the user's training mean,
-    then the global training mean.
+    then the global training mean. ``sfr_descent`` is passed on to
+    :func:`predict_sfr` as its private ``_descent``.
     """
-    bound_items = {
-        rec.item_id
-        for rec, cls in zip(task.records, task.classes)
-        if cls in (BoundClass.HIGHER, BoundClass.LOWER)
-    }
+    bound_items = _bound_items(task)
     all_items = {rec.item_id for rec in task.records}
     result = _UserResult(predictions={})
     for method in methods:
@@ -195,7 +198,7 @@ def _method_predictions(
         elif method == "hcp":
             rec = predict_hcp(graph, observed, targets)
         elif method == "sfr":
-            rec = predict_sfr(graph, observed, targets, config)
+            rec = predict_sfr(graph, observed, targets, config, _descent=sfr_descent)
         else:
             raise ValueError(f"unknown method {method!r}")
         got: dict[str, tuple[float, bool]] = {}
@@ -204,11 +207,17 @@ def _method_predictions(
                 got[item] = (rec.estimates[item], False)
             else:
                 got[item] = (fallback, True)
-        if method == "sfr" and rec.diagnostics is not None:
-            d = rec.diagnostics
-            result.sfr_diag = (d.iterations_used, d.converged, d.final_objective, d.source_count)
+        if method == "sfr":
+            result.sfr_diag = rec.diagnostics
         result.predictions[method] = got
     return result
+
+
+# most users whose sfr descents share one block (see _EvalContext.run_block).
+# On a 2-core host, full sfr evaluations of the bench rings took 1.17 s and
+# 8.0 s one user at a time, 0.46 s and 4.2 s in blocks of 64, and about as
+# long in blocks of 128; each column of a block costs n doubles per array.
+_BLOCK_USERS = 64
 
 
 @dataclass(frozen=True)
@@ -222,18 +231,40 @@ class _EvalContext:
     config: SolverConfig
     global_mean: float
 
-    def run_user(self, user_pos: int) -> tuple[int, _UserResult]:
+    def _inputs(self, user_pos: int) -> tuple[_UserTask, dict[str, float], float]:
+        """A user's task, observed ratings on the graph and fallback estimate."""
         graph, train = self.graph, self.train
         task = self.tasks[user_pos]
         user = train.user_index.get(task.user_id)
         if user is None:
-            observed: dict[str, float] = {}
-            fallback = self.global_mean
-        else:
-            rated = train.user_ratings(user)
-            observed = {train.items[i]: r for i, r in rated.items() if train.items[i] in graph.item_index}
-            fallback = float(np.mean(list(rated.values()))) if rated else self.global_mean
-        return user_pos, _method_predictions(graph, task, observed, self.methods, self.config, fallback)
+            return task, {}, self.global_mean
+        rated = train.user_ratings(user)
+        observed = {train.items[i]: r for i, r in rated.items() if train.items[i] in graph.item_index}
+        return task, observed, float(np.mean(list(rated.values()))) if rated else self.global_mean
+
+    def run_block(self, positions: Sequence[int]) -> list[tuple[int, _UserResult]]:
+        """Score the users at ``positions``, running their sfr descents as one block.
+
+        Every estimator is still called once per user, in the order of
+        ``positions``; :func:`predict_sfr` receives the user's set-up and the
+        block's descent, so it only scores the result.
+        """
+        inputs = [self._inputs(pos) for pos in positions]
+        descents: list[Optional[tuple]] = [None] * len(inputs)
+        if "sfr" in self.methods:
+            starts = {
+                k: _sfr_start(self.graph, observed, self.config)
+                for k, (task, observed, _) in enumerate(inputs)
+                if _bound_items(task)
+            }
+            descend = [k for k, start in starts.items() if start.free_idx.size]
+            outcomes = dict(zip(descend, _spg_block([starts[k] for k in descend], self.graph, self.config)))
+            for k, start in starts.items():
+                descents[k] = (start, outcomes.get(k))
+        return [
+            (pos, _method_predictions(self.graph, task, observed, self.methods, self.config, fallback, descent))
+            for pos, (task, observed, fallback), descent in zip(positions, inputs, descents)
+        ]
 
 
 # Set once in each pool worker by the pool initializer, never in the parent.
@@ -247,9 +278,9 @@ def _init_worker(ctx: _EvalContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _run_user_in_worker(user_pos: int) -> tuple[int, _UserResult]:
+def _run_block_in_worker(positions: Sequence[int]) -> list[tuple[int, _UserResult]]:
     assert _WORKER_CTX is not None, "pool worker started without _init_worker"
-    return _WORKER_CTX.run_user(user_pos)
+    return _WORKER_CTX.run_block(positions)
 
 
 def evaluate(
@@ -299,14 +330,20 @@ def evaluate(
     global_mean = train.global_mean() if train.n_ratings else (sum(train.bounds) / 2.0)
 
     ctx = _EvalContext(graph, train, task_list, tuple(methods), config, global_mean)
+    # with jobs > 1, blocks small enough that every worker gets one
+    size = max(1, min(_BLOCK_USERS, ceil(len(task_list) / max(1, jobs))))
+    blocks = [range(start, min(start + size, len(task_list))) for start in range(0, len(task_list), size)]
+    results: dict[int, _UserResult] = {}
     if jobs > 1 and len(task_list) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so jobs=1 never loads multiprocessing
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(ctx,)
         ) as pool:
-            results = dict(pool.map(_run_user_in_worker, range(len(task_list)), chunksize=8))
+            for block in pool.map(_run_block_in_worker, blocks):
+                results.update(block)
     else:
-        results = dict(map(ctx.run_user, range(len(task_list))))
+        for block in blocks:
+            results.update(ctx.run_block(block))
 
     # aggregate in fixed user order so output is schedule-independent
     residual_sets: dict[str, dict[str, list[float]]] = {
@@ -325,13 +362,13 @@ def evaluate(
     for pos in range(len(task_list)):
         task = task_list[pos]
         user_result = results[pos]
-        if user_result.sfr_diag is not None:
-            iters, conv, objective, n_src = user_result.sfr_diag
+        diag = user_result.sfr_diag
+        if diag is not None:
             sfr_users += 1
-            sfr_iters.append(float(iters))
-            sfr_objectives.append(float(objective))
-            sfr_sources.append(float(n_src))
-            sfr_converged += bool(conv)
+            sfr_iters.append(float(diag.iterations_used))
+            sfr_objectives.append(float(diag.final_objective))
+            sfr_sources.append(float(diag.source_count))
+            sfr_converged += bool(diag.converged)
         for method in methods:
             got = user_result.predictions[method]
             for rec, cls in zip(task.records, task.classes):

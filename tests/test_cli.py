@@ -1,5 +1,8 @@
+import io
 import json
+import os
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -262,7 +265,44 @@ class TestToyCommand:
         assert code == 0
         assert capped != default
 
+    @pytest.mark.parametrize("flag", [("--threshold", "0.2"), ("--output-dir", "x"), ("--dataset", "d.csv"),
+                                      ("--jobs", "2"), ("--c-low", "0")], ids=lambda f: f[0])
+    def test_data_and_output_flags_rejected(self, capsys, flag):
+        # the toy has its own data and bounds and writes no file, so such a flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["toy", "ladder26", "sfr", *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
     def test_unknown_toy_errors(self, capsys):
         code, _, err = _run(capsys, "evaluate", "--toy", "pyramid")
         assert code == 1
         assert "error" in err
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early (``rategraph toy ... | head``) ends the run quietly."""
+
+    @pytest.mark.parametrize("failing", ["write", "flush"])
+    def test_exit_one_without_a_message(self, tmp_path, capsys, monkeypatch, failing):
+        with open(tmp_path / "stdout", "w") as target:
+
+            class ClosedPipe(io.TextIOBase):
+                def write(self, text):
+                    if failing == "write":
+                        raise BrokenPipeError(32, "Broken pipe")
+                    return len(text)
+
+                def flush(self):
+                    if failing == "flush":
+                        raise BrokenPipeError(32, "Broken pipe")
+
+                def fileno(self):
+                    return target.fileno()
+
+            monkeypatch.setattr(sys, "stdout", ClosedPipe())
+            code = main(["toy", "ladder26", "knn"])
+            # stdout's descriptor now points at devnull, so the flush at exit cannot fail
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert code == 1
+        assert capsys.readouterr().err == ""

@@ -29,6 +29,7 @@ from rategraph import (
     predict_hcp,
     split_ratings,
 )
+from rategraph import evaluation
 from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import random_rating_matrix
 
@@ -394,6 +395,56 @@ class TestCompactTruthRows:
         report = evaluate(["knn"], split, fix.graph, SolverConfig(bounds=fix.bounds))
         with pytest.raises(AttributeError):
             report.rmse_by_truth = []
+
+
+@pytest.fixture(scope="module")
+def ring_panel():
+    """The benchmark's ring120 split, with the test records of its first 25 users in sorted order."""
+    split = split_ratings(tent_ring_dataset(2024, 120, 40, 0.55), 0.8, seed=1)
+    keep = sorted({rec.user_id for rec in split.test})[:25]
+    split = Split(split.train, [rec for rec in split.test if rec.user_id in keep], split.fraction, split.seed)
+    return split, build_item_graph(split.train, threshold=0.9, min_support=3)
+
+
+class TestSfrBlocks:
+    """evaluate runs the sfr descents of up to ``_BLOCK_USERS`` users as one block."""
+
+    def test_outputs_identical_at_any_block_size_and_jobs(self, ring_panel, monkeypatch):
+        split, graph = ring_panel
+        cfg = SolverConfig(bounds=(1.0, 5.0))
+        outputs = {}
+        for size in (1, 2, len(split.test)):
+            monkeypatch.setattr(evaluation, "_BLOCK_USERS", size)
+            for jobs in (1, 2):
+                dump = io.StringIO()
+                report = evaluate(["knn", "hcp", "sfr"], split, graph, cfg, jobs=jobs, predictions_out=dump)
+                outputs[size, jobs] = (report.to_json(), report.rmse_tsv(), dump.getvalue())
+        assert len(set(outputs.values())) == 1
+        assert json.loads(outputs[1, 1][0])["solver_stats"]["sfr"]["users_solved"] > 10
+
+    def test_predict_sfr_called_once_per_user_in_sorted_order(self, ring_panel, monkeypatch):
+        # the benchmark's tracer wraps evaluation.predict_sfr and gives its k-th call to the k-th user
+        split, graph = ring_panel
+        calls = []
+        real = evaluation.predict_sfr
+
+        def recording(*args, **kwargs):
+            rec = real(*args, **kwargs)
+            calls.append((args[1], rec))
+            return rec
+
+        monkeypatch.setattr(evaluation, "predict_sfr", recording)
+        evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0)))
+        train = split.train
+        bound = (BoundClass.HIGHER, BoundClass.LOWER)
+        users = sorted({rec.user_id for rec in split.test if classify_bound(rec, train, graph) in bound})
+        observed = [
+            {train.items[i]: r for i, r in train.user_ratings(train.user_index[user]).items()
+             if train.items[i] in graph.item_index}
+            for user in users
+        ]
+        assert [obs for obs, _ in calls] == observed
+        assert all(rec.diagnostics is not None and rec.method == "sfr" for _, rec in calls)
 
 
 def _complete_graph(names):
