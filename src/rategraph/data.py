@@ -93,10 +93,8 @@ class RatingMatrix:
             col.flags.writeable = False
         self._u, self._i, self._r = u, i, r
         self._check_records()
-        # by-user view (row starts, item column, rating column) and the last
-        # user's map, both made by user_ratings
+        # by-user view (row starts, item column, rating column), made by user_ratings
         self._rows: Optional[tuple[list[int], np.ndarray, np.ndarray]] = None
-        self._last: Optional[tuple[int, dict[int, float]]] = None
 
     @classmethod
     def from_ids(
@@ -157,13 +155,8 @@ class RatingMatrix:
     def user_ratings(self, user_idx: int) -> dict[int, float]:
         """Item-index -> rating map for one user, in record order; treat it as read-only.
 
-        Maps are cut from a by-user view built on first use. The last map
-        handed out is kept and returned again for the same user, because
-        bound classification asks for it once per test record and a user's
-        test records usually come one after another.
+        Maps are cut from a by-user view built on first use.
         """
-        if self._last is not None and self._last[0] == user_idx:
-            return self._last[1]
         if self._rows is None:
             order = np.argsort(self._u, kind="stable")
             indptr = np.zeros(self.n_users + 1, dtype=np.int64)
@@ -171,9 +164,7 @@ class RatingMatrix:
             self._rows = (indptr.tolist(), self._i[order], self._r[order])
         indptr, items, ratings = self._rows
         lo, hi = indptr[user_idx], indptr[user_idx + 1]
-        rated = dict(zip(items[lo:hi].tolist(), ratings[lo:hi].tolist()))
-        self._last = (user_idx, rated)
-        return rated
+        return dict(zip(items[lo:hi].tolist(), ratings[lo:hi].tolist()))
 
     def global_mean(self) -> float:
         if not self._r.size:

@@ -430,136 +430,10 @@ def _eps_schedule(eps_final: float) -> list[float]:
     return out
 
 
-# a stage between two iterations: objective, free gradient, step length alpha, iterations done
-_StageState = tuple[float, np.ndarray, float, int]
-
-
-def _spg_stage(
-    x: np.ndarray,
-    free_idx: np.ndarray,
-    rows: np.ndarray,
-    ops: tuple[CsrArrays, CsrArrays],
-    config: SolverConfig,
-    eps: float,
-    budget: int,
-    rel_tol: float,
-    resume: Optional[_StageState] = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Spectral projected gradient descent at one smoothing level.
-
-    Each step projects a gradient step of length alpha onto the rating box,
-    d = clip(x - alpha g) - x over the free coordinates, and halves lambda
-    from 1 until the smoothed sum at x + lambda d is below the current one.
-    alpha is the Barzilai-Borwein step s.s / s.y of the last accepted move
-    s and its gradient change y, clamped to [1e-10, 1e10]; it is 0.1 at the
-    first step and whenever s.y <= 0. Stops when d is zero (a stationary
-    point, which covers a zero gradient), when the relative objective
-    decrease falls under ``rel_tol``, when no lambda decreases the objective,
-    or when the iteration budget runs out; ``converged`` is False only in
-    the last case. The objective is non-increasing across accepted steps by
-    construction. ``rows`` indexes the items whose second derivative enters
-    the objective; ``ops`` is :meth:`ItemGraph.second_difference_operators`.
-    ``x`` itself is not modified. ``resume`` continues a stage that
-    :func:`_spg_block` began, from the objective, free gradient, step length
-    and iteration count it had reached at ``x``.
-    """
-    c_l, c_h = config.bounds
-    p = config.p
-    op, op_t = ops
-    n = op.indptr.size - 1
-    # every vector the kernels see below is x, a buffer of x's size or a derived array
-    if x.shape != (n,) or x.dtype != np.float64:
-        raise ValueError(f"the stage needs a float64 vector of length {n}, got {x.dtype} {x.shape}")
-    if rows.size == n:
-        # every item is a row: a basic slice views where an index array copies
-        rows = slice(None)
-    u = np.zeros(n)
-    # the iterate and the trial buffer; they trade places on each accepted step
-    x, trial = x.copy(), x.copy()
-    if resume is None:
-        s, q, obj = _smoothed_sum(op, x, rows, p, eps)
-        g = _gradient(op_t, s, q, u, rows, p)[free_idx]
-        alpha, iters = _INITIAL_STEP, 0
-    else:
-        obj, g, alpha, iters = resume
-    x_free = x[free_idx]
-    while iters < budget:
-        iters += 1
-        d = x_free - alpha * g
-        _clip(d, c_l, c_h, out=d)
-        d -= x_free
-        if not np.count_nonzero(d):
-            return x, iters, True
-        lam = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            # 1.0 * d == d exactly, so the first trial skips the product
-            cand = x_free + d if lam == 1.0 else x_free + lam * d
-            # x + lambda d can round past a bound; clipping keeps the box exact
-            _clip(cand, c_l, c_h, out=cand)
-            trial[free_idx] = cand
-            s, q, obj_cand = _smoothed_sum(op, trial, rows, p, eps)
-            if obj_cand < obj:
-                break
-            lam *= _BACKTRACK_FACTOR
-        else:
-            return x, iters, True
-        g_new = _gradient(op_t, s, q, u, rows, p)[free_idx]
-        step = cand - x_free
-        sy = step @ (g_new - g)
-        alpha = min(max(step @ step / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
-        drop = obj - obj_cand
-        x, trial = trial, x
-        x_free, obj, g = cand, obj_cand, g_new
-        if drop < rel_tol * max(abs(obj), 1e-300):
-            return x, iters, True
-    return x, iters, False
-
-
 def _stage_budget(config: SolverConfig, n_stages: int, stage: int, used: int) -> Optional[int]:
     """Iterations for ``stage``: an even share of those left, or None when none are left."""
     remaining = config.max_iterations - used
     return max(1, remaining // (n_stages - stage)) if remaining > 0 else None
-
-
-def _recover(
-    warm: np.ndarray,
-    free_idx: np.ndarray,
-    rows: np.ndarray,
-    graph: ItemGraph,
-    config: SolverConfig,
-    resume: Optional[tuple[int, int, bool, int, Optional[_StageState]]] = None,
-) -> tuple[np.ndarray, int, bool]:
-    """Continuation loop: anneal the smoothing from one rating unit down.
-
-    At the target smoothing (default 1e-6) the objective has an extremely
-    narrow curvature well around every zero of the second derivative, and the
-    all-flat harmonic warm start cannot be escaped by descent. Annealing the
-    smoothing keeps early stages soft enough for the gradient to reshape the
-    solution and late stages sharp enough to pin the sources. Each stage is
-    one :func:`_spg_stage` run from where the last one ended, with an even
-    share of the iterations still left.
-
-    Reports convergence only if every stage converged within its budget.
-    ``resume`` is where :func:`_spg_block` hands a column over: its stage,
-    the iterations of the stages before it, whether they all converged, the
-    stage's budget and the stage's state, None at the stage's start.
-    """
-    ops = graph.second_difference_operators()
-    stages = _eps_schedule(config.smoothing_eps)
-    x = warm
-    stage, used, converged, budget, state = resume if resume is not None else (0, 0, True, None, None)
-    for si in range(stage, len(stages)):
-        if budget is None:
-            budget = _stage_budget(config, len(stages), si, used)
-            if budget is None:
-                converged = False
-                break
-        args = (x, free_idx, rows, ops, config, stages[si], budget, config.objective_rel_tol)
-        x, iters, stage_converged = _spg_stage(*args) if state is None else _spg_stage(*args, resume=state)
-        used += iters
-        converged = converged and stage_converged
-        budget = state = None
-    return x, used, converged
 
 
 @dataclass(frozen=True)
@@ -584,6 +458,23 @@ def _sfr_start(graph: ItemGraph, observed: dict[str, float], config: SolverConfi
     return _SfrStart(np.where(solved, warm, 0.0), solved, free_idx, rows)
 
 
+def _apply_block(op: CsrArrays, vecs: np.ndarray) -> np.ndarray:
+    """``op`` times each column of the C-contiguous (n x k) ``vecs``.
+
+    ``csr_matvecs`` sums each column in the order ``csr_matvec`` sums one
+    vector, so the columns are bit-equal to separate products; at k = 1 the
+    single-vector kernel is used, since the block kernel costs 1.4-3.8 times
+    as much there.
+    """
+    n, k = vecs.shape
+    out = np.zeros((n, k))
+    if k == 1:
+        _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, vecs.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(n, n, k, op.indptr, op.indices, op.data, vecs.ravel(), out.ravel())
+    return out
+
+
 # a block column's place in its stage: its start is to be evaluated, it is
 # searching along a direction, or its descent has ended
 _NEW_STAGE, _SEARCH, _DONE = range(3)
@@ -592,49 +483,70 @@ _NEW_STAGE, _SEARCH, _DONE = range(3)
 def _spg_block(
     starts: list[_SfrStart], graph: ItemGraph, config: SolverConfig
 ) -> list[tuple[np.ndarray, int, bool]]:
-    """:func:`_recover` for several users at once, one column of an (n x k) block per user.
+    """The sfr descent of each start, one column of an (n x k) block per start.
 
-    Returns what :func:`_recover` returns for each start alone, bit for
-    bit; every start must have a free item. Starts whose objective rows
-    are not every item (a degree-0 item, or a component without an
-    observation) run on :func:`_recover`, and so does every start when the
-    rating box holds 0: clipping against the array bounds below can give a
-    zero the other sign than clipping against scalar ones.
+    Returns ``(x, iterations, converged)`` per start; every start must have
+    a free item. The descent anneals the smoothing from one rating unit
+    down to ``config.smoothing_eps``. At the target smoothing (default 1e-6)
+    the objective has an extremely narrow curvature well around every zero
+    of the second derivative, and the all-flat harmonic warm start cannot be
+    escaped by descent. Annealing keeps early stages soft enough for the
+    gradient to reshape the solution and late stages sharp enough to pin
+    the sources. Each stage goes on from where the last one ended, with an
+    even share of the iterations still left, and ``converged`` is True only
+    if every stage stopped within its share.
 
-    Each tick evaluates one vector per column with a single
-    ``csr_matvecs`` call, and the gradient of the whole block with one call
-    on the transposed arrays. Each column keeps its own smoothing stage,
-    budget, iteration count, objective, step length alpha and line-search
-    fraction lambda; a column whose trial is refused halves its lambda while
-    the others move on. The operations are those of :func:`_spg_stage`,
-    applied to every column at once: the element-wise ones round the same
-    in any layout, each column's objective is a contiguous sum over its own
-    items, and the Barzilai-Borwein dot products are taken per column over
-    its own gathered free items. The observed entries are kept by clipping
-    each trial to bounds that equal them there. A column that ends its last
-    stage leaves the block. The last column left goes on with
-    :func:`_spg_stage` from its next iteration, since one vector costs less
-    alone than as a block of one.
+    A stage is spectral projected gradient descent. Each step projects a
+    gradient step of length alpha onto the rating box, d = clip(x - alpha g)
+    - x over the free items, and halves lambda from 1 until the smoothed sum
+    at x + lambda d is below the current one. alpha is the Barzilai-Borwein
+    step s.s / s.y of the last accepted move s and its gradient change y,
+    clamped to [1e-10, 1e10]; it is 0.1 at a stage's first step and whenever
+    s.y <= 0. A stage stops when d is zero (a stationary point, which covers
+    a zero gradient), when the relative objective decrease falls under
+    ``objective_rel_tol``, when no lambda decreases the objective, or when
+    its budget runs out; the objective never rises across accepted steps.
+
+    Each tick evaluates one vector per column, with one kernel call for the
+    second derivatives of the block (:func:`_apply_block`) and, once any
+    column has moved, one on the transposed arrays for the gradients. Each
+    column keeps its own stage, budget, iteration count, objective, alpha
+    and lambda; a column whose trial is refused halves its lambda while the
+    others move on, and a column that ends its last stage leaves the block.
+    A column's result does not depend on the others or on the block's
+    width, bit for bit. The element-wise operations round the same in any
+    layout. A column's objective is the pairwise sum of its own row of the
+    transposed block, gathered to its objective rows when those skip items
+    (a degree-0 item, or a component without an observation); phi' off
+    those rows needs no zeroing, since it reaches the gradient only at
+    fixed items: a free item and its neighbours are all rows. The
+    Barzilai-Borwein dot products are taken over the column's own gathered
+    free items. Trials are clipped to array bounds that equal the start at
+    fixed items, so those never move. When a bound is exactly 0 (either
+    sign), clipping a zero against array bounds can give the other zero
+    than clipping it against the scalar bounds, which is how a step is
+    defined; there the block is clipped against the scalar bounds and its
+    fixed entries are copied back from the iterate.
     """
     n = graph.item_count
-    c_l, c_h = config.bounds
+    for st in starts:
+        # the kernels trust their sizes; every other array below is made here
+        if st.warm.shape != (n,) or st.warm.dtype != np.float64:
+            raise ValueError(f"the descent needs a float64 vector of length {n}, got {st.warm.dtype} {st.warm.shape}")
     out: list = [None] * len(starts)
-    user = [i for i, st in enumerate(starts) if st.rows.size == n and (c_l > 0 or c_h < 0)]
-    if len(user) < 2:
-        user = []
-    for i, st in enumerate(starts):
-        if i not in user:
-            out[i] = _recover(st.warm, st.free_idx, st.rows, graph, config)
-    if not user:
+    if not starts:
         return out
-    rows = starts[user[0]].rows
+    c_l, c_h = config.bounds
     op, op_t = graph.second_difference_operators()
     stages = _eps_schedule(config.smoothing_eps)
     p = config.p
     rel_tol = config.objective_rel_tol
-    k = len(user)
+    k = len(starts)
     # per-column state; numpy scalars and masks cost more than they save here
-    free = [starts[i].free_idx for i in user]
+    user = list(range(k))
+    free = [st.free_idx for st in starts]
+    # a column's objective rows, or None when they are every item
+    rows = [st.rows if st.rows.size < n else None for st in starts]
     stage = [0] * k
     used = [0] * k
     converged = [True] * k
@@ -647,13 +559,17 @@ def _spg_block(
     phase = [_NEW_STAGE] * k
     restart = list(range(k))
 
-    x = np.array([starts[i].warm for i in user]).T.copy()
+    x = np.array([st.warm for st in starts]).T.copy()
     g = np.zeros((n, k))
-    # the box on free entries, the observed value itself on the others
-    lo, hi = x.copy(), x.copy()
+    fixed = np.ones((n, k), dtype=bool)
     for j, free_idx in enumerate(free):
-        lo[free_idx, j] = c_l
-        hi[free_idx, j] = c_h
+        fixed[free_idx, j] = False
+    if c_l == 0 or c_h == 0:
+        lo, hi = c_l, c_h
+    else:
+        # the box on free entries, the start itself on the others
+        lo, hi = np.where(fixed, x, c_l), np.where(fixed, x, c_h)
+        fixed = None
     eps2 = np.full((n, k), stages[0] * stages[0])
     eps_p = np.full((n, k), stages[0] ** p)
 
@@ -673,51 +589,60 @@ def _spg_block(
             converged[j] = False
         phase[j] = _DONE
 
-    flat = None
+    flat = d = None
     while True:
         if flat is None or _DONE in phase:
             keep = [j for j in range(k) if phase[j] != _DONE]
             for j in range(k):
                 if phase[j] == _DONE:
                     out[user[j]] = (x[:, j].copy(), used[j], converged[j])
+            if not keep:
+                return out
             if len(keep) < k:
-                cols = (user, free, stage, used, converged, budget, iters, obj, alpha, lam, tries, phase)
+                cols = (user, free, rows, stage, used, converged, budget, iters, obj, alpha, lam, tries, phase)
                 for col in cols:
                     col[:] = [col[j] for j in keep]
                 restart[:] = [keep.index(j) for j in restart]
-                x, g, lo, hi, eps2, eps_p = (a[:, keep] for a in (x, g, lo, hi, eps2, eps_p))
+                x, g, eps2, eps_p = (a[:, keep] for a in (x, g, eps2, eps_p))
+                if fixed is None:
+                    lo, hi = lo[:, keep], hi[:, keep]
+                else:
+                    fixed = fixed[:, keep]
                 k = len(keep)
-            if k == 1 and (phase[0] == _NEW_STAGE or tries[0] == 0):
-                state = None if phase[0] == _NEW_STAGE else (obj[0], g[free[0], 0], alpha[0], iters[0] - 1)
-                resume = (stage[0], used[0], converged[0], budget[0], state)
-                out[user[0]] = _recover(x[:, 0].copy(), free[0], rows, graph, config, resume)
-                k = 0
-            if k == 0:
-                return out
+                d = None
             trial = np.empty((n, k))
             # each column's free entries in the flattened block, in ascending item order
             flat = [free_idx * k + j for j, free_idx in enumerate(free)]
+            partial = [j for j in range(k) if rows[j] is not None]
 
-        # d = clip(x - alpha g) - x; unchanged while a column searches along it
-        d = g * np.array(alpha)
-        np.subtract(x, d, out=d)
-        _clip(d, lo, hi, out=d)
-        d -= x
+        if d is None:
+            # d = clip(x - alpha g) - x, made again only once a column has moved;
+            # numpy scales by a float about twice as fast as by an array of one
+            d = g * (alpha[0] if k == 1 else np.array(alpha))
+            np.subtract(x, d, out=d)
+            _clip(d, lo, hi, out=d)
+            if fixed is not None:
+                np.copyto(d, x, where=fixed)
+            d -= x
         # x + d, or x + lambda d once a column has halved lambda
-        np.add(x, d * np.array(lam) if lam.count(1.0) < k else d, out=trial)
+        np.add(x, d * (lam[0] if k == 1 else np.array(lam)) if lam.count(1.0) < k else d, out=trial)
         _clip(trial, lo, hi, out=trial)
+        if fixed is not None:
+            np.copyto(trial, x, where=fixed)
         for j in restart:
             trial[:, j] = x[:, j]
         restart.clear()
 
-        s = np.zeros((n, k))
-        _sparsetools.csr_matvecs(n, n, k, op.indptr, op.indices, op.data, trial.ravel(), s.ravel())
+        s = _apply_block(op, trial)
         q = s * s
         q += eps2
         t = q ** (0.5 * p)
         t -= eps_p
         # a C-contiguous row per column, so each sum is the pairwise sum of one vector
-        totals = np.add.reduce(t.T.copy(), axis=1).tolist()
+        t = np.ascontiguousarray(t.T)
+        totals = np.add.reduce(t, axis=1).tolist() if len(partial) < k else [0.0] * k
+        for j in partial:
+            totals[j] = float(np.add.reduce(t[j].take(rows[j])))
 
         moved = []
         accepted = []
@@ -741,11 +666,11 @@ def _spg_block(
                 moved.append(j)
         if not moved:
             continue
+        d = None
 
         q **= 0.5 * p - 1.0
         q *= p * s
-        g_new = np.zeros((n, k))
-        _sparsetools.csr_matvecs(n, n, k, op_t.indptr, op_t.indices, op_t.data, q.ravel(), g_new.ravel())
+        g_new = _apply_block(op_t, q)
         if accepted:
             step, dg = trial - x, g_new - g
             for j in accepted:
@@ -788,13 +713,14 @@ def predict_sfr(
     interpolation on the final objective.
     Abstention rules are identical to :func:`predict_hcp`.
 
+    The descent is :func:`_spg_block`, here on this user's start alone.
     ``_descent`` is private to :func:`rategraph.evaluation.evaluate`: this
-    user's set-up, and the ``(x, iterations, converged)`` of a descent
-    already run in a block, or None to descend here.
+    user's set-up, and the ``(x, iterations, converged)`` of its column in
+    a block of users, or None when it has no free item.
     """
     start, descent = _descent if _descent is not None else (_sfr_start(graph, observed, config), None)
     if descent is None and start.free_idx.size:
-        descent = _recover(start.warm, start.free_idx, start.rows, graph, config)
+        descent = _spg_block([start], graph, config)[0]
     op = graph.second_difference_operators()[0]
 
     def final_objective(vec: np.ndarray) -> tuple[np.ndarray, float]:

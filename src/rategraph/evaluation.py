@@ -55,14 +55,22 @@ def classify_bound(
     item in training. A pure function of the record, so permuting the test
     set never changes a record's class.
     """
+    user = train.user_index.get(test_record.user_id)
+    return _classify(test_record, None if user is None else train.user_ratings(user), train, graph)
+
+
+def _classify(
+    test_record: RatingRecord,
+    rated: Optional[dict[int, float]],
+    train: RatingMatrix,
+    graph: ItemGraph,
+) -> BoundClass:
+    """:func:`classify_bound` given the user's training map, None for a user without training ratings."""
     if test_record.item_id not in graph.item_index:
         raise UnknownItemError(test_record.item_id)
-    item = graph.item_index[test_record.item_id]
-    neigh, _ = graph.neighbors(item)
-    user = train.user_index.get(test_record.user_id)
-    if user is None:
+    if rated is None:
         return BoundClass.UNCLASSIFIABLE
-    rated = train.user_ratings(user)
+    neigh, _ = graph.neighbors(graph.item_index[test_record.item_id])
     # graph and train keep independent item index spaces; map through names
     train_items = map(train.item_index.get, map(graph.items.__getitem__, neigh.tolist()))
     neighbor_ratings = [rated[ti] for ti in train_items if ti in rated]
@@ -307,22 +315,29 @@ def evaluate(
             raise ValueError(f"unknown method {m!r}")
     train = split.train
 
-    # classify every test record (pure, order-independent)
+    # classify every test record (pure, order-independent), reading each
+    # user's training map once
+    by_user: dict[str, list[RatingRecord]] = {}
+    for rec in split.test:
+        by_user.setdefault(rec.user_id, []).append(rec)
     tasks: dict[str, _UserTask] = {}
     n_unknown = 0
     class_counts = {c.value: 0 for c in BoundClass}
-    for rec in split.test:
-        try:
-            cls = classify_bound(rec, train, graph)
-        except UnknownItemError:
-            n_unknown += 1
-            continue
-        class_counts[cls.value] += 1
-        task = tasks.get(rec.user_id)
-        if task is None:
-            task = tasks[rec.user_id] = _UserTask(rec.user_id, [], [])
-        task.records.append(rec)
-        task.classes.append(cls)
+    for user_id, records in by_user.items():
+        user = train.user_index.get(user_id)
+        rated = None if user is None else train.user_ratings(user)
+        task = _UserTask(user_id, [], [])
+        for rec in records:
+            try:
+                cls = _classify(rec, rated, train, graph)
+            except UnknownItemError:
+                n_unknown += 1
+                continue
+            class_counts[cls.value] += 1
+            task.records.append(rec)
+            task.classes.append(cls)
+        if task.records:
+            tasks[user_id] = task
 
     ordered_users = sorted(tasks)
     task_list = [tasks[u] for u in ordered_users]

@@ -3,7 +3,7 @@ from dataclasses import FrozenInstanceError, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse import _sparsetools
@@ -446,20 +446,21 @@ class TestPredictSfr:
         assert not rec.diagnostics.converged
 
     def test_converged_requires_every_stage(self, ladder, monkeypatch):
-        # only the first smoothing stage fails; the last one converging must
-        # not mask it
-        real = estimators._spg_stage
-        flags = []
+        # only the first smoothing stage runs out of its budget; the last one
+        # converging must not mask it
+        real = estimators._stage_budget
 
-        def first_stage_fails(*args):
-            x, iters, converged = real(*args)
-            flags.append(converged and len(flags) > 0)
-            return x, iters, flags[-1]
+        def first_stage_gets_one(config, n_stages, stage, used):
+            return 1 if stage == 0 else real(config, n_stages, stage, used)
 
-        monkeypatch.setattr(estimators, "_spg_stage", first_stage_fails)
+        monkeypatch.setattr(estimators, "_stage_budget", first_stage_gets_one)
         cfg = SolverConfig(bounds=ladder.bounds)
+        flags = []
+        start = estimators._sfr_start(ladder.graph, ladder.observed, cfg)
+        want = _reference_descent(start, *_walk_pair(ladder.graph), cfg, flags)
+        assert len(flags) > 1 and not flags[0] and flags[-1]
         rec = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), cfg)
-        assert len(flags) > 1 and flags[-1]
+        assert rec.diagnostics.iterations_used == want[1]
         assert not rec.diagnostics.converged
 
 
@@ -531,7 +532,7 @@ def _walk_pair(graph):
 
 # -- the SPG stage as it was written before it ran on the fused P - I arrays:
 # scipy matrices, a product and a subtraction per second derivative, a copy
-# per trial and np.clip. The stage must match it bit for bit.
+# per trial and np.clip. Each column of the block must match it bit for bit.
 
 
 def _reference_phi(s, p, eps):
@@ -604,70 +605,104 @@ def _reference_spg_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, 
     return x, iters, False
 
 
+def _reference_descent(start, p_mat, pt_mat, config, flags=None):
+    """The smoothing continuation over the reference stage: each stage an even share of the iterations left.
+
+    Returns ``(x, iterations, converged)``; ``flags``, if given, gets each stage's ``converged``.
+    """
+    stages = estimators._eps_schedule(config.smoothing_eps)
+    x, used, converged = start.warm, 0, True
+    for stage, eps in enumerate(stages):
+        budget = estimators._stage_budget(config, len(stages), stage, used)
+        if budget is None:
+            return x, used, False
+        x, iters, stage_converged = _reference_spg_stage(
+            x, start.free_idx, start.rows, p_mat, pt_mat, config, eps, budget, config.objective_rel_tol
+        )
+        used += iters
+        converged = converged and stage_converged
+        if flags is not None:
+            flags.append(stage_converged)
+    return x, used, converged
+
+
 class TestSpgStage:
-    """Properties of one smoothing stage, on random graphs with degree-0
-    items and unobserved components, from the warm start or a random point
-    of the box. In the box (1.3, 4.7), unlike (1, 5), x + lambda d often
-    rounds past a bound."""
+    """Properties of the descent's smoothing stages, checked on the block, on random graphs with a
+    degree-0 item (so every user's objective rows skip items) and sometimes an unobserved component,
+    from the warm start or a random point of the box. In the box (1.3, 4.7), unlike (1, 5), x + lambda d
+    often rounds past a bound."""
 
     @staticmethod
     def _case(seed):
+        """A graph, a config and one to three starts of a block, each with a free item."""
         rng = np.random.default_rng(seed)
         graph, observed = _graph_with_gaps(rng, int(rng.integers(3, 14)), bool(rng.integers(2)))
         lo, hi = (1.0, 5.0) if rng.uniform() < 0.5 else (1.3, 4.7)
-        observed = {name: lo + (r - 1) * (hi - lo) / 4 for name, r in observed.items()}
-        cfg = SolverConfig(bounds=(lo, hi))
-        free_idx, rows, x, ops = _stage_inputs(graph, observed, cfg)
-        if rng.uniform() < 0.5:
-            x[free_idx] = rng.uniform(lo, hi, free_idx.size)
         eps = float(rng.choice([1.0, 1e-2, 1e-6]))
-        return graph, x, free_idx, rows, ops, cfg, eps
+        cfg = SolverConfig(bounds=(lo, hi), smoothing_eps=eps, max_iterations=300)
+        starts = []
+        for obs in [observed] + [random_observed(rng, graph) for _ in range(int(rng.integers(3)))]:
+            start = estimators._sfr_start(graph, {name: lo + (r - 1) * (hi - lo) / 4 for name, r in obs.items()}, cfg)
+            if rng.uniform() < 0.5:
+                start.warm[start.free_idx] = rng.uniform(lo, hi, start.free_idx.size)
+            if start.free_idx.size:
+                starts.append(start)
+        return graph, cfg, starts
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_pins_observations_keeps_the_box_and_never_ends_above_its_start(self, seed):
-        _, x, free_idx, rows, ops, cfg, eps = self._case(seed)
-        fixed = np.setdiff1d(np.arange(x.size), free_idx)
+        graph, cfg, starts = self._case(seed)
+        op = graph.second_difference_operators()[0]
+        fixed = [np.setdiff1d(np.arange(graph.item_count), start.free_idx) for start in starts]
         trials = []
-        real = estimators._smoothed_sum
+        real = estimators._apply_block
 
-        def recording(op, vec, *rest):
-            trials.append(vec.copy())
-            return real(op, vec, *rest)
+        def recording(arrays, vecs):
+            if arrays is op:
+                trials.append(vecs.copy())
+            return real(arrays, vecs)
+
+        def pinned_and_boxed(vec, k):
+            return vec[fixed[k]].tobytes() == starts[k].warm[fixed[k]].tobytes() and np.all(
+                (vec[starts[k].free_idx] >= cfg.bounds[0]) & (vec[starts[k].free_idx] <= cfg.bounds[1]))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "_smoothed_sum", recording)
-            out, iters, _ = estimators._spg_stage(x, free_idx, rows, ops, cfg, eps, 300, cfg.objective_rel_tol)
-        assert 1 <= iters <= 300
-        # the start and each trial: the stage evaluates every vector through the patched evaluator
-        assert len(trials) >= iters
-        # every vector the stage evaluates, and so every iterate, keeps the
-        # observed entries bit for bit and the free ones inside the box
-        for vec in trials + [out]:
-            assert vec[fixed].tobytes() == x[fixed].tobytes()
-            assert np.all((vec[free_idx] >= cfg.bounds[0]) & (vec[free_idx] <= cfg.bounds[1]))
-        start = real(ops[0], x, rows, cfg.p, eps)[2]
-        assert real(ops[0], out, rows, cfg.p, eps)[2] <= start
+            mp.setattr(estimators, "_apply_block", recording)
+            # one stage at the case's smoothing, so that its objective is the one that never rises
+            mp.setattr(estimators, "_eps_schedule", lambda eps: [eps])
+            got = estimators._spg_block(starts, graph, cfg)
+        # every vector the block evaluates keeps some start's observed entries bit for bit and its free ones
+        # inside the box; columns leave the block in any order, so a column is matched by its observed entries
+        assert len(trials) >= max(iters for _, iters, _ in got)
+        for block in trials:
+            for vec in block.T:
+                assert any(pinned_and_boxed(vec, k) for k in range(len(starts)))
+        for k, (start, (out, iters, _)) in enumerate(zip(starts, got)):
+            assert 1 <= iters <= 300
+            assert pinned_and_boxed(out, k)
+            before = estimators._smoothed_sum(op, start.warm, start.rows, cfg.p, cfg.smoothing_eps)[2]
+            assert estimators._smoothed_sum(op, out, start.rows, cfg.p, cfg.smoothing_eps)[2] <= before
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_matches_the_reference_loop(self, seed):
-        graph, x, free_idx, rows, ops, cfg, eps = self._case(seed)
-        before = x.tobytes()
-        got = estimators._spg_stage(x, free_idx, rows, ops, cfg, eps, 300, cfg.objective_rel_tol)
-        want = _reference_spg_stage(x, free_idx, rows, *_walk_pair(graph), cfg, eps, 300, cfg.objective_rel_tol)
-        assert got[0].tobytes() == want[0].tobytes()
-        assert got[1:] == want[1:]
-        assert x.tobytes() == before
+        graph, cfg, starts = self._case(seed)
+        before = [start.warm.tobytes() for start in starts]
+        got = estimators._spg_block(starts, graph, cfg)
+        for start, mine in zip(starts, got):
+            want = _reference_descent(start, *_walk_pair(graph), cfg)
+            assert mine[0].tobytes() == want[0].tobytes()
+            assert mine[1:] == want[1:]
+        assert [start.warm.tobytes() for start in starts] == before
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_two_runs_agree(self, seed):
-        _, x, *rest = self._case(seed)
-        first = estimators._spg_stage(x.copy(), *rest, 300, 1e-8)
-        second = estimators._spg_stage(x.copy(), *rest, 300, 1e-8)
-        assert first[0].tobytes() == second[0].tobytes()
-        assert first[1:] == second[1:]
+        graph, cfg, starts = self._case(seed)
+        first = estimators._spg_block(starts, graph, cfg)
+        second = estimators._spg_block(starts, graph, cfg)
+        assert [(x.tobytes(), *rest) for x, *rest in first] == [(x.tobytes(), *rest) for x, *rest in second]
 
     @pytest.mark.parametrize("seed", range(10))
     def test_zero_gradient_exits_at_once(self, seed, monkeypatch):
@@ -680,19 +715,22 @@ class TestSpgStage:
         cfg = SolverConfig(bounds=(1, 5))
         level = float(rng.choice([1.0, 3.5, 5.0]))
         observed = {name: level for name in random_observed(rng, graph)}
-        free_idx, rows, x, ops = _stage_inputs(graph, observed, cfg)
+        start = estimators._sfr_start(graph, observed, cfg)
+        op = graph.second_difference_operators()[0]
         calls = 0
-        real = estimators._smoothed_sum
+        real = estimators._apply_block
 
-        def counting(*args):
+        def counting(arrays, vecs):
             nonlocal calls
-            calls += 1
-            return real(*args)
+            calls += arrays is op
+            return real(arrays, vecs)
 
-        monkeypatch.setattr(estimators, "_smoothed_sum", counting)
-        out, iters, converged = estimators._spg_stage(x, free_idx, rows, ops, cfg, 1e-6, 100, 1e-8)
-        assert (iters, converged, calls) == (1, True, 1)
-        assert out.tobytes() == x.tobytes()
+        monkeypatch.setattr(estimators, "_apply_block", counting)
+        [(out, iters, converged)] = estimators._spg_block([start], graph, cfg)
+        # each stage evaluates its start and one trial, which equals it, and ends after one iteration
+        stages = len(estimators._eps_schedule(cfg.smoothing_eps))
+        assert (iters, converged, calls) == (stages, True, 2 * stages)
+        assert out.tobytes() == start.warm.tobytes()
 
     @pytest.mark.parametrize(
         "make",
@@ -701,21 +739,22 @@ class TestSpgStage:
     )
     def test_rejects_a_start_of_the_wrong_length_or_dtype(self, ladder, make):
         n = ladder.graph.item_count
-        ops = ladder.graph.second_difference_operators()
+        cfg = SolverConfig(bounds=(1, 9))
+        good = estimators._sfr_start(ladder.graph, ladder.observed, cfg)
+        bad = estimators._SfrStart(make(n), np.ones(n, dtype=bool), np.arange(2), np.arange(n))
         with pytest.raises(ValueError, match=f"float64 vector of length {n}"):
-            estimators._spg_stage(make(n), np.arange(2), np.arange(n), ops, SolverConfig(bounds=(1, 9)), 1.0, 10, 1e-8)
+            estimators._spg_block([good, bad], ladder.graph, cfg)
 
 
 def _reference_predictions(graph, users, cfg):
-    """predict_sfr for each observed map, every item a target, on the reference stage."""
+    """predict_sfr for each observed map, every item a target, with the descent run by the reference continuation."""
     p_mat, pt_mat = _walk_pair(graph)
-
-    def reference(x, free_idx, rows, ops, *rest):
-        return _reference_spg_stage(x, free_idx, rows, p_mat, pt_mat, *rest)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimators, "_spg_stage", reference)
-        return [predict_sfr(graph, observed, list(graph.items), cfg) for observed in users]
+    out = []
+    for observed in users:
+        start = estimators._sfr_start(graph, observed, cfg)
+        descent = _reference_descent(start, p_mat, pt_mat, cfg) if start.free_idx.size else None
+        out.append(predict_sfr(graph, observed, list(graph.items), cfg, _descent=(start, descent)))
+    return out
 
 
 def _block_predictions(graph, users, cfg, size):
@@ -739,26 +778,15 @@ def _assert_same_recovery(got, want):
 
 
 class TestPredictSfrMatchesReference:
-    """predict_sfr on the reference stage, on the real one and in a block: the same bytes."""
+    """predict_sfr on the reference continuation, alone and in blocks of ten: the same bytes."""
 
     @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
-    def test_first_bound_users_of_the_bench_rings(self, shape, monkeypatch):
+    def test_first_bound_users_of_the_bench_rings(self, shape):
         graph, split = _ring_graph(*shape)
         cfg = SolverConfig(bounds=(1.0, 5.0))
         p_mat = _walk_pair(graph)[0]
         users = list(_bound_users(graph, split, 30))
-        resumes = []
-        real_recover = estimators._recover
-
-        def recording(*args):
-            resumes.append(args[5] if len(args) > 5 else None)
-            return real_recover(*args)
-
-        monkeypatch.setattr(estimators, "_recover", recording)
         blocked = _block_predictions(graph, users, cfg, 10)
-        # each block of ten ran as a block: at most its last column went on to the single loop
-        assert len(resumes) <= 3 and None not in resumes
-        monkeypatch.setattr(estimators, "_recover", real_recover)
         wanted = _reference_predictions(graph, users, cfg)
         for observed, in_block, want in zip(users, blocked, wanted):
             got = predict_sfr(graph, observed, list(graph.items), cfg)
@@ -776,20 +804,24 @@ class TestPredictSfrMatchesReference:
 
 
 class TestSpgBlock:
-    """Descents run as a block, each equal to predict_sfr on the reference stage byte for byte, on random
-    graphs with a degree-0 item or a second component, users who observe them or not, a fully observed user
-    and one with no free item, at budgets that run out in the middle of a block. A degree-0 item, an
-    unobserved component or a box holding 0 keeps a user on the single loop; over 60 seeds, 26 cases
-    still formed a block of two or more users."""
+    """Descents run as a block, each equal to predict_sfr on the reference continuation byte for byte, on
+    random graphs with a degree-0 item (which makes every user's objective rows skip it) or a second
+    component, users who observe them or not, a fully observed user and one with no free item, observations
+    on a bound and at +0.0 and -0.0, boxes with a bound at +0.0 or -0.0, and budgets that run out in the middle of a
+    block."""
 
     @given(seed=st.integers(0, 2**32 - 1), max_iterations=st.sampled_from([3, 7, 25, 10_000]))
     @settings(max_examples=100, deadline=None)
+    # free values that come to rest on a bound of -0.0, where clipping against array bounds would give +0.0
+    @example(seed=3, max_iterations=10_000)
+    @example(seed=67, max_iterations=10_000)
+    @example(seed=138, max_iterations=25)
     def test_matches_the_reference(self, seed, max_iterations):
         rng = np.random.default_rng(seed)
         core = random_connected_graph(rng, int(rng.integers(3, 12)))
         items = list(core.items)
         edges = [(core.items[i], core.items[j], w) for i, j, w in core.edges()]
-        if rng.uniform() < 0.2:
+        if rng.uniform() < 0.3:
             items.append("lone")
         if rng.uniform() < 0.5:
             items += ["j0", "j1", "j2"]
@@ -799,16 +831,23 @@ class TestSpgBlock:
         users = []
         for _ in range(int(rng.integers(2, 7))):
             observed = random_observed(rng, core)
-            # most users also rate the extra items, so that their objective covers every item
+            # most users also rate the extra items, so that their objective covers every item but "lone"
             if extra and rng.uniform() < 0.7:
                 observed.update({name: float(rng.uniform(1, 5)) for name in extra if name != "j2"})
             users.append(observed)
         users.insert(int(rng.integers(len(users) + 1)), {name: float(rng.uniform(1, 5)) for name in items})
         # every core item observed, the rest unobserved: degree-0 or unreached, so no item is free
         users.insert(int(rng.integers(len(users) + 1)), {name: float(rng.uniform(1, 5)) for name in core.items})
-        # the box (-2, 2) holds 0, which keeps every user off the block
-        lo, hi = [(1.0, 5.0), (1.0, 5.0), (1.3, 4.7), (1.3, 4.7), (-2.0, 2.0)][int(rng.integers(5))]
-        users = [{name: lo + (r - 1) * (hi - lo) / 4 for name, r in observed.items()} for observed in users]
+        zero = float(rng.choice([0.0, -0.0]))
+        lo, hi = [(1.0, 5.0), (1.3, 4.7), (-2.0, 2.0), (zero, 5.0), (-5.0, zero)][int(rng.integers(5))]
+        # a rating r of 1..5 scaled into the box; some land on a bound, and at 0 with either sign where the
+        # box holds it
+        special = [lo, hi] + ([0.0, -0.0] if lo <= 0 <= hi else [])
+        users = [
+            {name: float(rng.choice(special)) if rng.uniform() < 0.2 else lo + (r - 1) * (hi - lo) / 4
+             for name, r in observed.items()}
+            for observed in users
+        ]
         cfg = SolverConfig(bounds=(lo, hi), max_iterations=max_iterations)
         blocked = _block_predictions(graph, users, cfg, int(rng.integers(2, len(users) + 1)))
         for got, want in zip(blocked, _reference_predictions(graph, users, cfg)):
@@ -943,6 +982,21 @@ class TestClip:
         assert estimators._clip(vec, *bounds).tobytes() == want.tobytes()
         estimators._clip(vec, *bounds, out=vec)
         assert vec.tobytes() == want.tobytes()
+
+    @given(
+        values=st.lists(_CLIP_FLOATS, max_size=40),
+        bounds=st.tuples(_CLIP_FLOATS, _CLIP_FLOATS).filter(lambda b: b[0] < b[1] and 0 not in b),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_array_bounds_equal_scalar_bounds_off_zero(self, values, bounds):
+        # the block clips against arrays that hold the box at free entries, and the single-vector descent it
+        # replaced clipped against the scalars: the same bytes, signed zeros included, unless a bound is +-0
+        vec = np.array(values, dtype=np.float64)
+        lo, hi = np.full(vec.size, bounds[0]), np.full(vec.size, bounds[1])
+        assert estimators._clip(vec, lo, hi).tobytes() == estimators._clip(vec, *bounds).tobytes()
+        # at a fixed entry both array bounds equal its value v, and the trial there is v + 0.0
+        finite = vec[np.isfinite(vec)]
+        assert estimators._clip(finite + 0.0, finite, finite).tobytes() == finite.tobytes()
 
 
 @st.composite

@@ -406,21 +406,34 @@ def ring_panel():
     return split, build_item_graph(split.train, threshold=0.9, min_support=3)
 
 
+@pytest.fixture(scope="module")
+def ring_panel_with_lone_item(ring_panel):
+    """The ring panel with two training ratings of one more item, too few for an edge: a degree-0 item."""
+    split, _ = ring_panel
+    train = split.train
+    rows = [(r.user_id, r.item_id, r.rating) for r in train.records()] + [(user, "lone", 3.0) for user in train.users[:2]]
+    train = RatingMatrix.from_ids(train.bounds, *zip(*rows))
+    graph = build_item_graph(train, threshold=0.9, min_support=3)
+    assert graph.degree[graph.item_index["lone"]] == 0
+    return Split(train, split.test, split.fraction, split.seed), graph
+
+
 class TestSfrBlocks:
     """evaluate runs the sfr descents of up to ``_BLOCK_USERS`` users as one block."""
 
-    def test_outputs_identical_at_any_block_size_and_jobs(self, ring_panel, monkeypatch):
-        split, graph = ring_panel
+    def test_outputs_identical_at_any_block_size_and_jobs(self, ring_panel, ring_panel_with_lone_item, monkeypatch):
+        # with a degree-0 item, every user's objective rows skip it
         cfg = SolverConfig(bounds=(1.0, 5.0))
-        outputs = {}
-        for size in (1, 2, len(split.test)):
-            monkeypatch.setattr(evaluation, "_BLOCK_USERS", size)
-            for jobs in (1, 2):
-                dump = io.StringIO()
-                report = evaluate(["knn", "hcp", "sfr"], split, graph, cfg, jobs=jobs, predictions_out=dump)
-                outputs[size, jobs] = (report.to_json(), report.rmse_tsv(), dump.getvalue())
-        assert len(set(outputs.values())) == 1
-        assert json.loads(outputs[1, 1][0])["solver_stats"]["sfr"]["users_solved"] > 10
+        for split, graph in (ring_panel, ring_panel_with_lone_item):
+            outputs = {}
+            for size in (1, 2, len(split.test)):
+                monkeypatch.setattr(evaluation, "_BLOCK_USERS", size)
+                for jobs in (1, 2):
+                    dump = io.StringIO()
+                    report = evaluate(["knn", "hcp", "sfr"], split, graph, cfg, jobs=jobs, predictions_out=dump)
+                    outputs[size, jobs] = (report.to_json(), report.rmse_tsv(), dump.getvalue())
+            assert len(set(outputs.values())) == 1
+            assert json.loads(outputs[1, 1][0])["solver_stats"]["sfr"]["users_solved"] > 10
 
     def test_predict_sfr_called_once_per_user_in_sorted_order(self, ring_panel, monkeypatch):
         # the benchmark's tracer wraps evaluation.predict_sfr and gives its k-th call to the k-th user
