@@ -521,12 +521,9 @@ def _spg_block(
     those rows needs no zeroing, since it reaches the gradient only at
     fixed items: a free item and its neighbours are all rows. The
     Barzilai-Borwein dot products are taken over the column's own gathered
-    free items. Trials are clipped to array bounds that equal the start at
-    fixed items, so those never move. When a bound is exactly 0 (either
-    sign), clipping a zero against array bounds can give the other zero
-    than clipping it against the scalar bounds, which is how a step is
-    defined; there the block is clipped against the scalar bounds and its
-    fixed entries are copied back from the iterate.
+    free items. Trials are clipped against the scalar bounds, as a step is
+    defined, and their fixed entries are then copied back from the iterate,
+    so those never move; a direction's fixed entries are left as they come.
     """
     n = graph.item_count
     for st in starts:
@@ -536,7 +533,8 @@ def _spg_block(
     out: list = [None] * len(starts)
     if not starts:
         return out
-    c_l, c_h = config.bounds
+    # the box as 0-d arrays, which numpy's clip ufunc reads faster than floats, to the same bytes
+    c_l, c_h = (np.array(b, dtype=np.float64) for b in config.bounds)
     op, op_t = graph.second_difference_operators()
     stages = _eps_schedule(config.smoothing_eps)
     p = config.p
@@ -564,12 +562,6 @@ def _spg_block(
     fixed = np.ones((n, k), dtype=bool)
     for j, free_idx in enumerate(free):
         fixed[free_idx, j] = False
-    if c_l == 0 or c_h == 0:
-        lo, hi = c_l, c_h
-    else:
-        # the box on free entries, the start itself on the others
-        lo, hi = np.where(fixed, x, c_l), np.where(fixed, x, c_h)
-        fixed = None
     eps2 = np.full((n, k), stages[0] * stages[0])
     eps_p = np.full((n, k), stages[0] ** p)
 
@@ -603,11 +595,7 @@ def _spg_block(
                 for col in cols:
                     col[:] = [col[j] for j in keep]
                 restart[:] = [keep.index(j) for j in restart]
-                x, g, eps2, eps_p = (a[:, keep] for a in (x, g, eps2, eps_p))
-                if fixed is None:
-                    lo, hi = lo[:, keep], hi[:, keep]
-                else:
-                    fixed = fixed[:, keep]
+                x, g, eps2, eps_p, fixed = (a[:, keep] for a in (x, g, eps2, eps_p, fixed))
                 k = len(keep)
                 d = None
             trial = np.empty((n, k))
@@ -616,19 +604,17 @@ def _spg_block(
             partial = [j for j in range(k) if rows[j] is not None]
 
         if d is None:
-            # d = clip(x - alpha g) - x, made again only once a column has moved;
+            # d = clip(x - alpha g) - x, made again only once a column has moved; only its
+            # free entries count, since the trial's fixed entries are copied from x.
             # numpy scales by a float about twice as fast as by an array of one
             d = g * (alpha[0] if k == 1 else np.array(alpha))
             np.subtract(x, d, out=d)
-            _clip(d, lo, hi, out=d)
-            if fixed is not None:
-                np.copyto(d, x, where=fixed)
+            _clip(d, c_l, c_h, out=d)
             d -= x
         # x + d, or x + lambda d once a column has halved lambda
         np.add(x, d * (lam[0] if k == 1 else np.array(lam)) if lam.count(1.0) < k else d, out=trial)
-        _clip(trial, lo, hi, out=trial)
-        if fixed is not None:
-            np.copyto(trial, x, where=fixed)
+        _clip(trial, c_l, c_h, out=trial)
+        np.putmask(trial, fixed, x)
         for j in restart:
             trial[:, j] = x[:, j]
         restart.clear()
@@ -651,7 +637,7 @@ def _spg_block(
                 if totals[j] < obj[j]:
                     moved.append(j)
                     accepted.append(j)
-                elif tries[j] == 0 and not np.count_nonzero(d[:, j]):
+                elif tries[j] == 0 and not np.count_nonzero(d.take(flat[j])):
                     # a zero direction: the stage is at a stationary point
                     end_stage(j, True)
                 elif tries[j] + 1 == _MAX_BACKTRACKS:
