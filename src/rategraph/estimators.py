@@ -29,7 +29,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse import _sparsetools
 
 # np.clip is a Python wrapper around this ufunc and costs about three times
 # as much on a vector of a few dozen items; numpy 2 moved it to numpy._core
@@ -38,7 +37,7 @@ try:
 except ImportError:
     from numpy.core.umath import clip as _clip
 
-from .graph import CsrArrays, ItemGraph, _defined_values
+from .graph import CsrArrays, ItemGraph, _apply, _defined_values
 
 __all__ = [
     "ConvergenceError",
@@ -126,22 +125,6 @@ class UserRecovery:
 
 
 # -- shared helpers -------------------------------------------------------------
-
-
-def _matvec(mat: sparse.csr_matrix, vec: np.ndarray) -> np.ndarray:
-    """``mat @ vec`` for a float64 CSR matrix and a float64 vector.
-
-    Calls the compiled ``csr_matvec`` kernel on a fresh zero output, which is
-    all that ``mat @ vec`` does after its operator dispatch, so the result is
-    the same bit for bit. The kernel trusts its sizes, so a vector of the
-    wrong length or dtype raises here instead of being read past its end.
-    """
-    m, n = mat.shape
-    if vec.shape != (n,) or vec.dtype != np.float64:
-        raise ValueError(f"matvec needs a float64 vector of length {n}, got {vec.dtype} {vec.shape}")
-    out = np.zeros(m)
-    _sparsetools.csr_matvec(m, n, mat.indptr, mat.indices, mat.data, vec, out)
-    return out
 
 
 def _observed_arrays(
@@ -247,6 +230,7 @@ def _harmonic_extend(
     free_idx = np.flatnonzero(free)
     if free_idx.size:
         w, d = graph.adjacency, graph.degree
+        w_op = CsrArrays(w.indptr, w.indices, w.data)
         mask = free.astype(np.float64)
         inv_d = np.zeros(n)
         inv_d[free_idx] = 1.0 / d[free_idx]
@@ -267,7 +251,7 @@ def _harmonic_extend(
                     f"harmonic CG solve did not reach residual {tol:.3g} within {cap} iterations"
                 )
             steps += 1
-            q = mask * (d * p - _matvec(w, p))
+            q = mask * (d * p - _apply(w_op, p))
             alpha = rz / (p @ q)
             x += alpha * p
             r -= alpha * q
@@ -345,40 +329,44 @@ def predict_hcp(
 # both round exactly as the expressions would.
 
 
-def _smoothed_sum(
-    op: CsrArrays, vec: np.ndarray, rows: np.ndarray | slice, p: float, eps: float
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Second derivative s = (P - I) vec on ``rows``, q = s*s + eps*eps there, and the sum of phi(s).
+def _smoothed_sums(
+    op: CsrArrays, x: np.ndarray, eps2, eps_p, p: float, rows: list[Optional[np.ndarray]]
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Second derivatives s = (P - I) x, q = s*s + eps2, and each column's sum of phi(s) over its rows.
 
-    ``op`` is the first of :meth:`ItemGraph.second_difference_operators`.
-    The kernel trusts its sizes: ``vec`` must be a float64 vector with one
-    entry per item, which every caller checks or builds.
+    ``op`` is the first of :meth:`ItemGraph.second_difference_operators` and
+    ``x`` an (n x k) block, one vector per column. ``eps2`` and
+    ``eps_p`` are eps*eps and eps**p, as floats or as (n x k) arrays that give
+    each column its own smoothing. ``rows`` holds each column's objective
+    rows, None meaning every item. A column's sum is the pairwise sum of its
+    own phi values, gathered to its rows, so it does not depend on the other
+    columns, bit for bit; ``s`` and ``q`` cover every item.
     """
-    n = vec.size
-    s = np.zeros(n)
-    _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, vec, s)
-    s = s[rows]
+    s = _apply(op, x)
     q = s * s
-    q += eps * eps
+    q += eps2
     t = q ** (0.5 * p)
-    t -= eps**p
-    return s, q, float(np.add.reduce(t))
+    t -= eps_p
+    # a C-contiguous row per column, so each sum is the pairwise sum of one vector
+    t = np.ascontiguousarray(t.T)
+    totals = np.add.reduce(t, axis=1).tolist()
+    for j, r in enumerate(rows):
+        if r is not None:
+            totals[j] = float(np.add.reduce(t[j].take(r)))
+    return s, q, totals
 
 
-def _gradient(
-    op_t: CsrArrays, s: np.ndarray, q: np.ndarray, u: np.ndarray, rows: np.ndarray | slice, p: float
-) -> np.ndarray:
-    """(P - I)^T phi'(s) over all items, phi'(s) put in ``u`` at ``rows``; overwrites q.
+def _gradients(op_t: CsrArrays, s: np.ndarray, q: np.ndarray, p: float) -> np.ndarray:
+    """(P - I)^T phi'(s) for each column of :func:`_smoothed_sums`' ``s`` and ``q``; overwrites q.
 
-    ``s`` and ``q`` are :func:`_smoothed_sum`'s; ``u`` is zero off ``rows``.
+    phi' is taken at every item, off the objective's rows too. At a degree-0
+    item of a vector that is 0 there, s is +0.0 and so is phi'; a free item
+    and its neighbours are all rows, so the gradient at a free item reads
+    phi' at rows only.
     """
     q **= 0.5 * p - 1.0
     q *= p * s
-    u[rows] = q
-    n = u.size
-    g = np.zeros(n)
-    _sparsetools.csr_matvec(n, n, op_t.indptr, op_t.indices, op_t.data, u, g)
-    return g
+    return _apply(op_t, q)
 
 
 def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) -> float:
@@ -390,7 +378,8 @@ def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) ->
     """
     vec, rows = _defined_values(graph, values)
     op = graph.second_difference_operators()[0]
-    total = _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)[2]
+    eps = config.smoothing_eps
+    [total] = _smoothed_sums(op, vec[:, None], eps * eps, eps**config.p, config.p, [rows])[2]
     return total ** (1.0 / config.p)
 
 
@@ -409,10 +398,11 @@ def sfr_gradient(
     free_idx = np.array(
         sorted(graph.item_index[str(name)] for name in free), dtype=np.int64
     )
-    vec, rows = _defined_values(graph, values)
+    vec, _ = _defined_values(graph, values)
     op, op_t = graph.second_difference_operators()
-    s, q, _ = _smoothed_sum(op, vec, rows, config.p, config.smoothing_eps)
-    return _gradient(op_t, s, q, np.zeros(vec.size), rows, config.p)[free_idx]
+    eps = config.smoothing_eps
+    s, q, _ = _smoothed_sums(op, vec[:, None], eps * eps, eps**config.p, config.p, [None])
+    return _gradients(op_t, s, q, config.p)[free_idx, 0]
 
 
 # -- scalar function recovery ------------------------------------------------------
@@ -458,23 +448,6 @@ def _sfr_start(graph: ItemGraph, observed: dict[str, float], config: SolverConfi
     return _SfrStart(np.where(solved, warm, 0.0), solved, free_idx, rows)
 
 
-def _apply_block(op: CsrArrays, vecs: np.ndarray) -> np.ndarray:
-    """``op`` times each column of the C-contiguous (n x k) ``vecs``.
-
-    ``csr_matvecs`` sums each column in the order ``csr_matvec`` sums one
-    vector, so the columns are bit-equal to separate products; at k = 1 the
-    single-vector kernel is used, since the block kernel costs 1.4-3.8 times
-    as much there.
-    """
-    n, k = vecs.shape
-    out = np.zeros((n, k))
-    if k == 1:
-        _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, vecs.ravel(), out.ravel())
-    else:
-        _sparsetools.csr_matvecs(n, n, k, op.indptr, op.indices, op.data, vecs.ravel(), out.ravel())
-    return out
-
-
 # a block column's place in its stage: its start is to be evaluated, it is
 # searching along a direction, or its descent has ended
 _NEW_STAGE, _SEARCH, _DONE = range(3)
@@ -507,23 +480,19 @@ def _spg_block(
     ``objective_rel_tol``, when no lambda decreases the objective, or when
     its budget runs out; the objective never rises across accepted steps.
 
-    Each tick evaluates one vector per column, with one kernel call for the
-    second derivatives of the block (:func:`_apply_block`) and, once any
-    column has moved, one on the transposed arrays for the gradients. Each
-    column keeps its own stage, budget, iteration count, objective, alpha
-    and lambda; a column whose trial is refused halves its lambda while the
-    others move on, and a column that ends its last stage leaves the block.
-    A column's result does not depend on the others or on the block's
-    width, bit for bit. The element-wise operations round the same in any
-    layout. A column's objective is the pairwise sum of its own row of the
-    transposed block, gathered to its objective rows when those skip items
-    (a degree-0 item, or a component without an observation); phi' off
-    those rows needs no zeroing, since it reaches the gradient only at
-    fixed items: a free item and its neighbours are all rows. The
-    Barzilai-Borwein dot products are taken over the column's own gathered
-    free items. Trials are clipped against the scalar bounds, as a step is
-    defined, and their fixed entries are then copied back from the iterate,
-    so those never move; a direction's fixed entries are left as they come.
+    Each tick evaluates one vector per column with :func:`_smoothed_sums`
+    and, once any column has moved, takes the gradients with
+    :func:`_gradients`. Each column keeps its own stage, budget, iteration
+    count, objective, alpha and lambda; a column whose trial is refused
+    halves its lambda while the others move on, and a column that ends its
+    last stage leaves the block. A column's result does not depend on the
+    others or on the block's width, bit for bit. The element-wise operations
+    round the same in any layout, the objectives are summed per column, and
+    the Barzilai-Borwein dot products are taken over the column's own
+    gathered free items. Trials are clipped against the scalar bounds, as a
+    step is defined, and their fixed entries are then copied back from the
+    iterate, so those never move; a direction's fixed entries are left as
+    they come.
     """
     n = graph.item_count
     for st in starts:
@@ -555,7 +524,6 @@ def _spg_block(
     lam = [1.0] * k
     tries = [0] * k
     phase = [_NEW_STAGE] * k
-    restart = list(range(k))
 
     x = np.array([st.warm for st in starts]).T.copy()
     g = np.zeros((n, k))
@@ -576,7 +544,6 @@ def _spg_block(
                 eps2[:, j] = eps * eps
                 eps_p[:, j] = eps**p
                 phase[j] = _NEW_STAGE
-                restart.append(j)
                 return
             converged[j] = False
         phase[j] = _DONE
@@ -594,14 +561,12 @@ def _spg_block(
                 cols = (user, free, rows, stage, used, converged, budget, iters, obj, alpha, lam, tries, phase)
                 for col in cols:
                     col[:] = [col[j] for j in keep]
-                restart[:] = [keep.index(j) for j in restart]
                 x, g, eps2, eps_p, fixed = (a[:, keep] for a in (x, g, eps2, eps_p, fixed))
                 k = len(keep)
                 d = None
             trial = np.empty((n, k))
             # each column's free entries in the flattened block, in ascending item order
             flat = [free_idx * k + j for j, free_idx in enumerate(free)]
-            partial = [j for j in range(k) if rows[j] is not None]
 
         if d is None:
             # d = clip(x - alpha g) - x, made again only once a column has moved; only its
@@ -615,20 +580,13 @@ def _spg_block(
         np.add(x, d * (lam[0] if k == 1 else np.array(lam)) if lam.count(1.0) < k else d, out=trial)
         _clip(trial, c_l, c_h, out=trial)
         np.putmask(trial, fixed, x)
-        for j in restart:
-            trial[:, j] = x[:, j]
-        restart.clear()
+        if _NEW_STAGE in phase:
+            # a column starting a stage evaluates its iterate
+            for j in range(k):
+                if phase[j] == _NEW_STAGE:
+                    trial[:, j] = x[:, j]
 
-        s = _apply_block(op, trial)
-        q = s * s
-        q += eps2
-        t = q ** (0.5 * p)
-        t -= eps_p
-        # a C-contiguous row per column, so each sum is the pairwise sum of one vector
-        t = np.ascontiguousarray(t.T)
-        totals = np.add.reduce(t, axis=1).tolist() if len(partial) < k else [0.0] * k
-        for j in partial:
-            totals[j] = float(np.add.reduce(t[j].take(rows[j])))
+        s, q, totals = _smoothed_sums(op, trial, eps2, eps_p, p, rows)
 
         moved = []
         accepted = []
@@ -654,9 +612,7 @@ def _spg_block(
             continue
         d = None
 
-        q **= 0.5 * p - 1.0
-        q *= p * s
-        g_new = _apply_block(op_t, q)
+        g_new = _gradients(op_t, s, q, p)
         if accepted:
             step, dg = trial - x, g_new - g
             for j in accepted:
@@ -680,6 +636,18 @@ def _spg_block(
                 g[:, j] = g_new[:, j]
 
 
+def _sfr_descents(
+    graph: ItemGraph, observeds: list[dict[str, float]], config: SolverConfig
+) -> list[tuple[_SfrStart, Optional[tuple[np.ndarray, int, bool]]]]:
+    """Each user's set-up and the ``(x, iterations, converged)`` of its column in one block of users.
+
+    The descent is None for a user with no free item, who has nothing to descend.
+    """
+    starts = [_sfr_start(graph, observed, config) for observed in observeds]
+    outcomes = iter(_spg_block([start for start in starts if start.free_idx.size], graph, config))
+    return [(start, next(outcomes) if start.free_idx.size else None) for start in starts]
+
+
 def predict_sfr(
     graph: ItemGraph,
     observed: dict[str, float],
@@ -701,17 +669,15 @@ def predict_sfr(
 
     The descent is :func:`_spg_block`, here on this user's start alone.
     ``_descent`` is private to :func:`rategraph.evaluation.evaluate`: this
-    user's set-up, and the ``(x, iterations, converged)`` of its column in
-    a block of users, or None when it has no free item.
+    user's entry of :func:`_sfr_descents` over a block of users.
     """
-    start, descent = _descent if _descent is not None else (_sfr_start(graph, observed, config), None)
-    if descent is None and start.free_idx.size:
-        descent = _spg_block([start], graph, config)[0]
+    start, descent = _descent if _descent is not None else _sfr_descents(graph, [observed], config)[0]
     op = graph.second_difference_operators()[0]
+    eps = config.smoothing_eps
 
     def final_objective(vec: np.ndarray) -> tuple[np.ndarray, float]:
-        s, _, total = _smoothed_sum(op, vec, start.rows, config.p, config.smoothing_eps)
-        return s, total
+        s, _, [total] = _smoothed_sums(op, vec[:, None], eps * eps, eps**config.p, config.p, [start.rows])
+        return s[start.rows, 0], total
 
     best = start.warm
     best_s, best_obj = final_objective(best)

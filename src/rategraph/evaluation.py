@@ -18,7 +18,7 @@ from typing import IO, Optional, Sequence
 import numpy as np
 
 from .data import RatingMatrix, RatingRecord, Split
-from .estimators import SolverConfig, SolverDiagnostics, _sfr_start, _spg_block, predict_hcp, predict_knn, predict_sfr
+from .estimators import SolverConfig, SolverDiagnostics, _sfr_descents, predict_hcp, predict_knn, predict_sfr
 from .graph import ItemGraph
 
 __all__ = [
@@ -161,13 +161,17 @@ def _rmse(residuals: list[float]) -> Optional[float]:
 
 @dataclass
 class _UserTask:
+    """A user's test records on the graph, their classes, and how many of the user's records name items off it."""
+
     user_id: str
     records: list[RatingRecord]
     classes: list[BoundClass]
+    n_unknown: int = 0
 
 
 @dataclass
 class _UserResult:
+    task: _UserTask
     predictions: dict[str, dict[str, tuple[float, bool]]]
     sfr_diag: Optional[SolverDiagnostics] = None
 
@@ -195,7 +199,7 @@ def _method_predictions(
     """
     bound_items = _bound_items(task)
     all_items = {rec.item_id for rec in task.records}
-    result = _UserResult(predictions={})
+    result = _UserResult(task, predictions={})
     for method in methods:
         targets = all_items if method == "knn" else bound_items
         if not targets:
@@ -234,19 +238,32 @@ class _EvalContext:
 
     graph: ItemGraph
     train: RatingMatrix
-    tasks: list[_UserTask]
+    users: list[tuple[str, list[RatingRecord]]]
     methods: tuple[str, ...]
     config: SolverConfig
     global_mean: float
 
     def _inputs(self, user_pos: int) -> tuple[_UserTask, dict[str, float], float]:
-        """A user's task, observed ratings on the graph and fallback estimate."""
+        """A user's classified task, observed ratings on the graph and fallback estimate.
+
+        Reads the user's training map once, both to classify the user's test
+        records and to take its observations.
+        """
         graph, train = self.graph, self.train
-        task = self.tasks[user_pos]
-        user = train.user_index.get(task.user_id)
-        if user is None:
+        user_id, records = self.users[user_pos]
+        user = train.user_index.get(user_id)
+        rated = None if user is None else train.user_ratings(user)
+        task = _UserTask(user_id, [], [])
+        for rec in records:
+            try:
+                cls = _classify(rec, rated, train, graph)
+            except UnknownItemError:
+                task.n_unknown += 1
+                continue
+            task.records.append(rec)
+            task.classes.append(cls)
+        if rated is None:
             return task, {}, self.global_mean
-        rated = train.user_ratings(user)
         observed = {train.items[i]: r for i, r in rated.items() if train.items[i] in graph.item_index}
         return task, observed, float(np.mean(list(rated.values()))) if rated else self.global_mean
 
@@ -260,15 +277,9 @@ class _EvalContext:
         inputs = [self._inputs(pos) for pos in positions]
         descents: list[Optional[tuple]] = [None] * len(inputs)
         if "sfr" in self.methods:
-            starts = {
-                k: _sfr_start(self.graph, observed, self.config)
-                for k, (task, observed, _) in enumerate(inputs)
-                if _bound_items(task)
-            }
-            descend = [k for k, start in starts.items() if start.free_idx.size]
-            outcomes = dict(zip(descend, _spg_block([starts[k] for k in descend], self.graph, self.config)))
-            for k, start in starts.items():
-                descents[k] = (start, outcomes.get(k))
+            scored = [k for k, (task, _, _) in enumerate(inputs) if _bound_items(task)]
+            for k, descent in zip(scored, _sfr_descents(self.graph, [inputs[k][1] for k in scored], self.config)):
+                descents[k] = descent
         return [
             (pos, _method_predictions(self.graph, task, observed, self.methods, self.config, fallback, descent))
             for pos, (task, observed, fallback), descent in zip(positions, inputs, descents)
@@ -315,41 +326,19 @@ def evaluate(
             raise ValueError(f"unknown method {m!r}")
     train = split.train
 
-    # classify every test record (pure, order-independent), reading each
-    # user's training map once
+    # each test user's records, in user order; _EvalContext._inputs classifies them
     by_user: dict[str, list[RatingRecord]] = {}
     for rec in split.test:
         by_user.setdefault(rec.user_id, []).append(rec)
-    tasks: dict[str, _UserTask] = {}
-    n_unknown = 0
-    class_counts = {c.value: 0 for c in BoundClass}
-    for user_id, records in by_user.items():
-        user = train.user_index.get(user_id)
-        rated = None if user is None else train.user_ratings(user)
-        task = _UserTask(user_id, [], [])
-        for rec in records:
-            try:
-                cls = _classify(rec, rated, train, graph)
-            except UnknownItemError:
-                n_unknown += 1
-                continue
-            class_counts[cls.value] += 1
-            task.records.append(rec)
-            task.classes.append(cls)
-        if task.records:
-            tasks[user_id] = task
-
-    ordered_users = sorted(tasks)
-    task_list = [tasks[u] for u in ordered_users]
-    n_classified = sum(class_counts.values())
+    users = sorted(by_user.items())
     global_mean = train.global_mean() if train.n_ratings else (sum(train.bounds) / 2.0)
 
-    ctx = _EvalContext(graph, train, task_list, tuple(methods), config, global_mean)
+    ctx = _EvalContext(graph, train, users, tuple(methods), config, global_mean)
     # with jobs > 1, blocks small enough that every worker gets one
-    size = max(1, min(_BLOCK_USERS, ceil(len(task_list) / max(1, jobs))))
-    blocks = [range(start, min(start + size, len(task_list))) for start in range(0, len(task_list), size)]
+    size = max(1, min(_BLOCK_USERS, ceil(len(users) / max(1, jobs))))
+    blocks = [range(start, min(start + size, len(users))) for start in range(0, len(users), size)]
     results: dict[int, _UserResult] = {}
-    if jobs > 1 and len(task_list) > 1:
+    if jobs > 1 and len(users) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so jobs=1 never loads multiprocessing
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(ctx,)
@@ -361,9 +350,8 @@ def evaluate(
             results.update(ctx.run_block(block))
 
     # aggregate in fixed user order so output is schedule-independent
-    residual_sets: dict[str, dict[str, list[float]]] = {
-        m: {"all": [], "higher": [], "lower": []} for m in methods
-    }
+    n_unknown = 0
+    class_counts = {c.value: 0 for c in BoundClass}
     by_truth: dict[tuple[str, str, str], list[float]] = {}
     fallback_counts = {m: 0 for m in methods}
     contribution: Optional[dict[str, float]] = None
@@ -374,9 +362,12 @@ def evaluate(
     sfr_converged = 0
     sfr_users = 0
 
-    for pos in range(len(task_list)):
-        task = task_list[pos]
+    for pos in range(len(users)):
         user_result = results[pos]
+        task = user_result.task
+        n_unknown += task.n_unknown
+        for cls in task.classes:
+            class_counts[cls.value] += 1
         diag = user_result.sfr_diag
         if diag is not None:
             sfr_users += 1
@@ -397,8 +388,6 @@ def evaluate(
                 if method == "knn":
                     knn_sq[cls.value] += residual * residual
                 if cls in (BoundClass.HIGHER, BoundClass.LOWER):
-                    residual_sets[method]["all"].append(residual)
-                    residual_sets[method][cls.value].append(residual)
                     truth_key = _truth_key(rec.rating)
                     by_truth.setdefault((method, cls.value, truth_key), []).append(residual)
                     by_truth.setdefault((method, cls.value, "all"), []).append(residual)
@@ -413,12 +402,10 @@ def evaluate(
         contribution = dict(knn_sq)
         contribution["total"] = total_sq
 
-    rmse = {
-        m: {k: _rmse(v) for k, v in residual_sets[m].items()} for m in methods
-    }
-    rmse_counts = {
-        m: {k: len(v) for k, v in residual_sets[m].items()} for m in methods
-    }
+    # a class's "all" group holds its residuals in aggregation order
+    groups = ("all", BoundClass.HIGHER.value, BoundClass.LOWER.value)
+    rmse = {m: {k: _rmse(by_truth.get((m, k, "all"), [])) for k in groups} for m in methods}
+    rmse_counts = {m: {k: len(by_truth.get((m, k, "all"), [])) for k in groups} for m in methods}
     # rows sort by the key strings, so "10" lists before "9.5"; a key parses
     # back to a float that formats to the same key
     truth_rows = [
@@ -435,6 +422,7 @@ def evaluate(
             "converged_fraction": sfr_converged / sfr_users,
         }
 
+    n_classified = sum(class_counts.values())
     fractions = {
         c.value: (class_counts[c.value] / n_classified if n_classified else 0.0)
         for c in BoundClass

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import spsolve
 
 from rategraph import (
@@ -26,6 +25,7 @@ from rategraph import (
 )
 from rategraph import estimators
 from rategraph.evaluation import BoundClass, classify_bound
+from rategraph.graph import CsrArrays, _apply
 from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import random_connected_graph, random_observed
 
@@ -541,7 +541,7 @@ def _reference_phi_grad(s, p, eps):
 
 
 def _reference_smoothed_sum(p_mat, vec, rows, p, eps):
-    s = estimators._matvec(p_mat, vec)
+    s = p_mat @ vec
     s -= vec
     return s, float(_reference_phi(s[rows], p, eps).sum())
 
@@ -555,7 +555,7 @@ def _reference_spg_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, 
 
     def gradient(s):
         u[rows] = _reference_phi_grad(s[rows], p, eps)
-        g = estimators._matvec(pt_mat, u)
+        g = pt_mat @ u
         g -= u
         return g[free_idx]
 
@@ -615,6 +615,12 @@ def _reference_descent(start, p_mat, pt_mat, config, flags=None):
     return x, used, converged
 
 
+def _objective(op, vec, rows, cfg):
+    """The smoothed sum at ``vec`` over ``rows``, as the descent evaluates it."""
+    eps = cfg.smoothing_eps
+    return estimators._smoothed_sums(op, vec[:, None], eps * eps, eps**cfg.p, cfg.p, [rows])[2][0]
+
+
 class TestSpgStage:
     """Properties of one smoothing stage of the descent, checked on the block with the continuation cut to
     a single stage at the case's smoothing (TestSpgBlock holds the whole continuation to the reference), on
@@ -646,7 +652,7 @@ class TestSpgStage:
         op = graph.second_difference_operators()[0]
         fixed = [np.setdiff1d(np.arange(graph.item_count), start.free_idx) for start in starts]
         trials = []
-        real = estimators._apply_block
+        real = estimators._apply
 
         def recording(arrays, vecs):
             if arrays is op:
@@ -658,7 +664,7 @@ class TestSpgStage:
                 (vec[starts[k].free_idx] >= cfg.bounds[0]) & (vec[starts[k].free_idx] <= cfg.bounds[1]))
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "_apply_block", recording)
+            mp.setattr(estimators, "_apply", recording)
             # one stage at the case's smoothing, so that its objective is the one that never rises
             mp.setattr(estimators, "_eps_schedule", lambda eps: [eps])
             got = estimators._spg_block(starts, graph, cfg)
@@ -671,8 +677,7 @@ class TestSpgStage:
         for k, (start, (out, iters, _)) in enumerate(zip(starts, got)):
             assert 1 <= iters <= 300
             assert pinned_and_boxed(out, k)
-            before = estimators._smoothed_sum(op, start.warm, start.rows, cfg.p, cfg.smoothing_eps)[2]
-            assert estimators._smoothed_sum(op, out, start.rows, cfg.p, cfg.smoothing_eps)[2] <= before
+            assert _objective(op, out, start.rows, cfg) <= _objective(op, start.warm, start.rows, cfg)
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
@@ -712,14 +717,14 @@ class TestSpgStage:
         start = estimators._sfr_start(graph, observed, cfg)
         op = graph.second_difference_operators()[0]
         calls = 0
-        real = estimators._apply_block
+        real = estimators._apply
 
         def counting(arrays, vecs):
             nonlocal calls
             calls += arrays is op
             return real(arrays, vecs)
 
-        monkeypatch.setattr(estimators, "_apply_block", counting)
+        monkeypatch.setattr(estimators, "_apply", counting)
         [(out, iters, converged)] = estimators._spg_block([start], graph, cfg)
         # each stage evaluates its start and one trial, which equals it, and ends after one iteration
         stages = len(estimators._eps_schedule(cfg.smoothing_eps))
@@ -755,11 +760,9 @@ def _block_predictions(graph, users, cfg, size):
     """predict_sfr for each observed map, with the descents of each ``size`` users run as one block, as evaluate runs them."""
     out = []
     for b in range(0, len(users), size):
-        starts = [estimators._sfr_start(graph, observed, cfg) for observed in users[b:b + size]]
-        descend = [k for k, start in enumerate(starts) if start.free_idx.size]
-        outcomes = dict(zip(descend, estimators._spg_block([starts[k] for k in descend], graph, cfg)))
-        out += [predict_sfr(graph, observed, list(graph.items), cfg, _descent=(start, outcomes.get(k)))
-                for k, (observed, start) in enumerate(zip(users[b:b + size], starts))]
+        block = users[b:b + size]
+        out += [predict_sfr(graph, observed, list(graph.items), cfg, _descent=descent)
+                for observed, descent in zip(block, estimators._sfr_descents(graph, block, cfg))]
     return out
 
 
@@ -846,14 +849,6 @@ class TestSpgBlock:
         blocked = _block_predictions(graph, users, cfg, int(rng.integers(2, len(users) + 1)))
         for got, want in zip(blocked, _reference_predictions(graph, users, cfg)):
             _assert_same_recovery(got, want)
-
-
-def _apply(op, vec):
-    """``op`` (a :class:`CsrArrays`) times ``vec`` by scipy's ``csr_matvec`` kernel."""
-    n = op.indptr.size - 1
-    out = np.zeros(n)
-    _sparsetools.csr_matvec(n, n, op.indptr, op.indices, op.data, vec, out)
-    return out
 
 
 def _with_signed_zeros(rng, vec):
@@ -981,13 +976,13 @@ class TestClip:
 
 
 @st.composite
-def _csr_and_vector(draw):
-    """A float64 CSR matrix, possibly with empty rows and unsorted column
-    indices, and a float64 vector of matching length with any float values."""
-    m = draw(st.integers(0, 12))
+def _csr_and_vector(draw, block=False):
+    """A square float64 CSR matrix, possibly with empty rows and unsorted column
+    indices, and a float64 vector of matching length with any float values, or
+    with ``block`` an (n x k) block of them."""
     n = draw(st.integers(1, 12))
     indptr, indices = [0], []
-    for _ in range(m):
+    for _ in range(n):
         row = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
         indices += row
         indptr.append(len(indices))
@@ -995,26 +990,47 @@ def _csr_and_vector(draw):
                          min_size=len(indices), max_size=len(indices)))
     mat = sparse.csr_matrix(
         (np.array(data, dtype=np.float64), np.array(indices, dtype=np.int32), np.array(indptr, dtype=np.int32)),
-        shape=(m, n),
+        shape=(n, n),
     )
-    vec = np.array(draw(st.lists(st.floats(width=64), min_size=n, max_size=n)), dtype=np.float64)
-    return mat, vec
+    shape = (n, draw(st.integers(1, 6))) if block else (n,)
+    size = int(np.prod(shape))
+    vec = np.array(draw(st.lists(st.floats(width=64), min_size=size, max_size=size)), dtype=np.float64)
+    return mat, vec.reshape(shape)
 
 
 def _graph_matrices(graph):
     return [graph.adjacency, *_walk_pair(graph)]
 
 
+def _arrays(mat):
+    return CsrArrays(mat.indptr, mat.indices, mat.data)
+
+
 class TestMatvec:
-    """``_matvec`` must equal scipy's ``mat @ vec`` bit for bit."""
+    """``graph._apply`` must equal scipy's ``mat @ vec`` bit for bit, on a vector and on each column of a block."""
 
     @given(case=_csr_and_vector())
     @settings(max_examples=300, deadline=None)
     def test_equals_scipy_on_any_csr(self, case):
         mat, vec = case
-        got = estimators._matvec(mat, vec)
+        got = _apply(_arrays(mat), vec)
         assert got.dtype == np.float64
         assert got.tobytes() == (mat @ vec).tobytes()
+
+    @given(case=_csr_and_vector(block=True))
+    @settings(max_examples=300, deadline=None)
+    def test_each_column_of_a_block_equals_scipy(self, case):
+        # a NaN's sign and payload depend on the operand order of the addition
+        # that meets two NaNs, which the two kernels need not share; every other
+        # entry, signed zeros and infinities included, is equal bit for bit
+        mat, vecs = case
+        got = _apply(_arrays(mat), vecs)
+        assert got.shape == vecs.shape and got.dtype == np.float64
+        for j in range(vecs.shape[1]):
+            want = mat @ vecs[:, j]
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got[:, j]), nan)
+            assert got[~nan, j].tobytes() == want[~nan].tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
@@ -1024,7 +1040,10 @@ class TestMatvec:
         assert np.any(graph.degree == 0)
         for mat in _graph_matrices(graph):
             vec = rng.normal(size=graph.item_count) * 10.0 ** rng.integers(-8, 8)
-            assert estimators._matvec(mat, vec).tobytes() == (mat @ vec).tobytes()
+            assert _apply(_arrays(mat), vec).tobytes() == (mat @ vec).tobytes()
+            vecs = rng.normal(size=(graph.item_count, int(rng.integers(2, 9))))
+            got = _apply(_arrays(mat), vecs)
+            assert all(got[:, j].tobytes() == (mat @ vecs[:, j]).tobytes() for j in range(vecs.shape[1]))
 
     @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)])
     def test_equals_scipy_on_bench_rings(self, shape):
@@ -1032,7 +1051,12 @@ class TestMatvec:
         rng = np.random.default_rng(7)
         for mat in _graph_matrices(graph):
             for vec in (np.ones(graph.item_count), rng.uniform(1, 5, graph.item_count)):
-                assert estimators._matvec(mat, vec).tobytes() == (mat @ vec).tobytes()
+                assert _apply(_arrays(mat), vec).tobytes() == (mat @ vec).tobytes()
+            # the widths of the benchmark's blocks and of evaluate's
+            for k in (9, 64):
+                vecs = rng.uniform(1, 5, (graph.item_count, k))
+                got = _apply(_arrays(mat), vecs)
+                assert all(got[:, j].tobytes() == (mat @ vecs[:, j]).tobytes() for j in range(k))
 
     @pytest.mark.parametrize(
         "vec",
@@ -1041,14 +1065,16 @@ class TestMatvec:
             np.zeros(6),
             np.zeros(5, dtype=np.float32),
             np.zeros(5, dtype=np.int64),
-            np.zeros((5, 1)),
+            np.zeros((4, 1)),
+            np.zeros((5, 2), dtype=np.float32),
+            np.zeros((5, 1, 1)),
         ],
-        ids=["short", "long", "float32", "int64", "column"],
+        ids=["short", "long", "float32", "int64", "column", "float32 block", "3-d"],
     )
     def test_rejects_wrong_length_or_dtype(self, vec):
-        mat = sparse.random(3, 5, density=0.6, format="csr", random_state=0)
+        mat = sparse.random(5, 5, density=0.6, format="csr", random_state=0)
         with pytest.raises(ValueError, match="float64 vector of length 5"):
-            estimators._matvec(mat, vec)
+            _apply(_arrays(mat), vec)
 
 
 class TestSolverConfig:

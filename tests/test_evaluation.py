@@ -250,6 +250,21 @@ class TestEvaluate:
         assert pools == [2], "jobs=2 must fan the two users out over a pool"
         assert serial.to_json() == parallel.to_json()
 
+    def test_reads_each_training_map_once(self, ring_panel, monkeypatch):
+        # classification and scoring share one cut of each test user's map
+        split, graph = ring_panel
+        calls = []
+        real = RatingMatrix.user_ratings
+
+        def counting(matrix, user_idx):
+            calls.append(user_idx)
+            return real(matrix, user_idx)
+
+        monkeypatch.setattr(RatingMatrix, "user_ratings", counting)
+        evaluate(["knn", "sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0)))
+        index = split.train.user_index
+        assert sorted(calls) == sorted(index[user] for user in {rec.user_id for rec in split.test})
+
     def test_budget_exhaustion_lowers_converged_fraction(self):
         split, fix = _toy_ladder_split(mirrored_user=True)
         cfg = SolverConfig(bounds=fix.bounds, max_iterations=7)
