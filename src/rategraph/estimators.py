@@ -193,6 +193,19 @@ def _assemble(
     )
 
 
+def _reachable(graph: ItemGraph, obs_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the reachable items, the positive-degree items of the components that hold an observation,
+    and of the unobserved ones among them."""
+    labels = graph.component_labels()
+    # a graph with no items has no labels to take a maximum of
+    comp_observed = np.zeros(int(labels.max(initial=-1)) + 1, dtype=bool)
+    comp_observed[labels[obs_idx]] = True
+    reach = comp_observed[labels] & (graph.degree > 0)
+    free = reach.copy()
+    free[obs_idx] = False
+    return reach, free
+
+
 def _harmonic_extend(
     graph: ItemGraph,
     obs_idx: np.ndarray,
@@ -220,13 +233,7 @@ def _harmonic_extend(
     values[obs_idx] = obs_val
     solved[obs_idx] = True
 
-    labels = graph.component_labels()
-    n_comp = int(labels.max()) + 1
-    obs_mask = np.zeros(n, dtype=bool)
-    obs_mask[obs_idx] = True
-    comp_observed = np.zeros(n_comp, dtype=bool)
-    comp_observed[labels[obs_idx]] = True
-    free = (~obs_mask) & comp_observed[labels] & (graph.degree > 0)
+    free = _reachable(graph, obs_idx)[1]
     free_idx = np.flatnonzero(free)
     if free_idx.size:
         w, d = graph.adjacency, graph.degree
@@ -262,8 +269,9 @@ def _harmonic_extend(
 
         # maximum principle: estimates stay inside the observed range of
         # their component; clip away solver round-off so the property is exact
-        comp_min = np.full(n_comp, np.inf)
-        comp_max = np.full(n_comp, -np.inf)
+        labels = graph.component_labels()
+        comp_min = np.full(int(labels.max()) + 1, np.inf)
+        comp_max = np.full(comp_min.size, -np.inf)
         np.minimum.at(comp_min, labels[obs_idx], obs_val)
         np.maximum.at(comp_max, labels[obs_idx], obs_val)
         values[free_idx] = np.clip(
@@ -330,17 +338,17 @@ def predict_hcp(
 
 
 def _smoothed_sums(
-    op: CsrArrays, x: np.ndarray, eps2, eps_p, p: float, rows: list[Optional[np.ndarray]]
+    op: CsrArrays, x: np.ndarray, eps2: float, eps_p: float, p: float, rows: list[Optional[np.ndarray]]
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Second derivatives s = (P - I) x, q = s*s + eps2, and each column's sum of phi(s) over its rows.
 
     ``op`` is the first of :meth:`ItemGraph.second_difference_operators` and
-    ``x`` an (n x k) block, one vector per column. ``eps2`` and
-    ``eps_p`` are eps*eps and eps**p, as floats or as (n x k) arrays that give
-    each column its own smoothing. ``rows`` holds each column's objective
-    rows, None meaning every item. A column's sum is the pairwise sum of its
-    own phi values, gathered to its rows, so it does not depend on the other
-    columns, bit for bit; ``s`` and ``q`` cover every item.
+    ``x`` an (n x k) block, one vector per column. ``eps2`` and ``eps_p`` are
+    the floats eps*eps and eps**p, one smoothing for every column. ``rows``
+    holds each column's objective rows, None meaning every item. A column's
+    sum is the pairwise sum of its own phi values, gathered to its rows, so
+    it does not depend on the other columns, bit for bit; ``s`` and ``q``
+    cover every item.
     """
     s = _apply(op, x)
     q = s * s
@@ -441,16 +449,8 @@ class _SfrStart:
 def _sfr_start(graph: ItemGraph, observed: dict[str, float], config: SolverConfig) -> _SfrStart:
     obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)
     warm, solved = _harmonic_extend(graph, obs_idx, obs_val)
-    obs_mask = np.zeros(graph.item_count, dtype=bool)
-    obs_mask[obs_idx] = True
-    free_idx = np.flatnonzero(solved & ~obs_mask & (graph.degree > 0))
-    rows = np.flatnonzero(solved & (graph.degree > 0))
-    return _SfrStart(np.where(solved, warm, 0.0), solved, free_idx, rows)
-
-
-# a block column's place in its stage: its start is to be evaluated, it is
-# searching along a direction, or its descent has ended
-_NEW_STAGE, _SEARCH, _DONE = range(3)
+    reach, free = _reachable(graph, obs_idx)
+    return _SfrStart(np.where(solved, warm, 0.0), solved, np.flatnonzero(free), np.flatnonzero(reach))
 
 
 def _spg_block(
@@ -465,27 +465,70 @@ def _spg_block(
     of the second derivative, and the all-flat harmonic warm start cannot be
     escaped by descent. Annealing keeps early stages soft enough for the
     gradient to reshape the solution and late stages sharp enough to pin
-    the sources. Each stage goes on from where the last one ended, with an
-    even share of the iterations still left, and ``converged`` is True only
-    if every stage stopped within its share.
+    the sources. Each stage is one :func:`_spg_stage` over the columns that
+    have iterations left: each goes on from where its last stage ended, with
+    an even share of its own iterations still left. A column with none left
+    ends there, and ``converged`` is True only if every stage stopped within
+    its share.
+    """
+    n = graph.item_count
+    for st in starts:
+        # the kernels trust their sizes; every other array the stages use is made from these
+        if st.warm.shape != (n,) or st.warm.dtype != np.float64:
+            raise ValueError(f"the descent needs a float64 vector of length {n}, got {st.warm.dtype} {st.warm.shape}")
+    stages = _eps_schedule(config.smoothing_eps)
+    x = [st.warm for st in starts]
+    used = [0] * len(starts)
+    converged = [True] * len(starts)
+    live = list(range(len(starts)))
+    for stage, eps in enumerate(stages):
+        budgets = {j: _stage_budget(config, len(stages), stage, used[j]) for j in live}
+        for j in live:
+            converged[j] = converged[j] and budgets[j] is not None
+        live = [j for j in live if budgets[j] is not None]
+        if not live:
+            break
+        # a column's objective rows, or None when they are every item
+        rows = [starts[j].rows if starts[j].rows.size < n else None for j in live]
+        results = _spg_stage(np.stack([x[j] for j in live], axis=1), [starts[j].free_idx for j in live], rows,
+                             graph, config, eps, [budgets[j] for j in live])
+        for j, (x_j, iterations, stage_converged) in zip(live, results):
+            x[j] = x_j
+            used[j] += iterations
+            converged[j] = converged[j] and stage_converged
+    return list(zip(x, used, converged))
 
-    A stage is spectral projected gradient descent. Each step projects a
+
+def _spg_stage(
+    x: np.ndarray, free: list[np.ndarray], rows: list[Optional[np.ndarray]], graph: ItemGraph,
+    config: SolverConfig, eps: float, budgets: list[int],
+) -> list[tuple[np.ndarray, int, bool]]:
+    """One smoothing stage at ``eps`` for each column of the (n x k) block ``x``.
+
+    Column j descends from ``x[:, j]`` over its free items ``free[j]`` and
+    objective rows ``rows[j]`` (None meaning every item) for at most
+    ``budgets[j]`` iterations. Returns ``(x, iterations, converged)`` per
+    column; ``x`` is not written.
+
+    The stage is spectral projected gradient descent. Each step projects a
     gradient step of length alpha onto the rating box, d = clip(x - alpha g)
     - x over the free items, and halves lambda from 1 until the smoothed sum
     at x + lambda d is below the current one. alpha is the Barzilai-Borwein
     step s.s / s.y of the last accepted move s and its gradient change y,
-    clamped to [1e-10, 1e10]; it is 0.1 at a stage's first step and whenever
-    s.y <= 0. A stage stops when d is zero (a stationary point, which covers
+    clamped to [1e-10, 1e10]; it is 0.1 at the first step and whenever
+    s.y <= 0. A column stops when d is zero (a stationary point, which covers
     a zero gradient), when the relative objective decrease falls under
     ``objective_rel_tol``, when no lambda decreases the objective, or when
-    its budget runs out; the objective never rises across accepted steps.
+    its budget runs out, which alone leaves it unconverged; the objective
+    never rises across accepted steps.
 
-    Each tick evaluates one vector per column with :func:`_smoothed_sums`
-    and, once any column has moved, takes the gradients with
-    :func:`_gradients`. Each column keeps its own stage, budget, iteration
-    count, objective, alpha and lambda; a column whose trial is refused
-    halves its lambda while the others move on, and a column that ends its
-    last stage leaves the block. A column's result does not depend on the
+    The stage evaluates and differentiates the whole block once, then each
+    tick evaluates one trial per column with :func:`_smoothed_sums` and, once
+    any column has moved, takes the gradients with :func:`_gradients`. Each
+    column keeps its own budget, iteration count, objective, alpha and
+    lambda; a column whose trial is refused halves its lambda while the
+    others move on, and a column that stops leaves the block, which
+    ``np.take`` compacts in C order. A column's result does not depend on the
     others or on the block's width, bit for bit. The element-wise operations
     round the same in any layout, the objectives are summed per column, and
     the Barzilai-Borwein dot products are taken over the column's own
@@ -494,80 +537,33 @@ def _spg_block(
     iterate, so those never move; a direction's fixed entries are left as
     they come.
     """
-    n = graph.item_count
-    for st in starts:
-        # the kernels trust their sizes; every other array below is made here
-        if st.warm.shape != (n,) or st.warm.dtype != np.float64:
-            raise ValueError(f"the descent needs a float64 vector of length {n}, got {st.warm.dtype} {st.warm.shape}")
-    out: list = [None] * len(starts)
-    if not starts:
-        return out
+    n, k = x.shape
+    out: list = [None] * k
     # the box as 0-d arrays, which numpy's clip ufunc reads faster than floats, to the same bytes
     c_l, c_h = (np.array(b, dtype=np.float64) for b in config.bounds)
     op, op_t = graph.second_difference_operators()
-    stages = _eps_schedule(config.smoothing_eps)
     p = config.p
     rel_tol = config.objective_rel_tol
-    k = len(starts)
+    eps2, eps_p = eps * eps, eps**p
     # per-column state; numpy scalars and masks cost more than they save here
     user = list(range(k))
-    free = [st.free_idx for st in starts]
-    # a column's objective rows, or None when they are every item
-    rows = [st.rows if st.rows.size < n else None for st in starts]
-    stage = [0] * k
-    used = [0] * k
-    converged = [True] * k
-    budget = [_stage_budget(config, len(stages), 0, 0)] * k
-    iters = [0] * k
-    obj = [0.0] * k
+    free, rows, budget = list(free), list(rows), list(budgets)
+    iters = [1] * k
     alpha = [_INITIAL_STEP] * k
     lam = [1.0] * k
     tries = [0] * k
-    phase = [_NEW_STAGE] * k
 
-    x = np.array([st.warm for st in starts]).T.copy()
-    g = np.zeros((n, k))
+    x = x.copy()
+    s, q, obj = _smoothed_sums(op, x, eps2, eps_p, p, rows)
+    g = _gradients(op_t, s, q, p)
     fixed = np.ones((n, k), dtype=bool)
     for j, free_idx in enumerate(free):
         fixed[free_idx, j] = False
-    eps2 = np.full((n, k), stages[0] * stages[0])
-    eps_p = np.full((n, k), stages[0] ** p)
-
-    def end_stage(j: int, stage_converged: bool) -> None:
-        used[j] += iters[j]
-        converged[j] = converged[j] and stage_converged
-        stage[j] += 1
-        if stage[j] < len(stages):
-            budget[j] = _stage_budget(config, len(stages), stage[j], used[j])
-            if budget[j] is not None:
-                eps = stages[stage[j]]
-                eps2[:, j] = eps * eps
-                eps_p[:, j] = eps**p
-                phase[j] = _NEW_STAGE
-                return
-            converged[j] = False
-        phase[j] = _DONE
-
-    flat = d = None
+    trial = np.empty((n, k))
+    # each column's free entries in the flattened block, in ascending item order
+    flat = [free_idx * k + j for j, free_idx in enumerate(free)]
+    d = None
     while True:
-        if flat is None or _DONE in phase:
-            keep = [j for j in range(k) if phase[j] != _DONE]
-            for j in range(k):
-                if phase[j] == _DONE:
-                    out[user[j]] = (x[:, j].copy(), used[j], converged[j])
-            if not keep:
-                return out
-            if len(keep) < k:
-                cols = (user, free, rows, stage, used, converged, budget, iters, obj, alpha, lam, tries, phase)
-                for col in cols:
-                    col[:] = [col[j] for j in keep]
-                x, g, eps2, eps_p, fixed = (a[:, keep] for a in (x, g, eps2, eps_p, fixed))
-                k = len(keep)
-                d = None
-            trial = np.empty((n, k))
-            # each column's free entries in the flattened block, in ascending item order
-            flat = [free_idx * k + j for j, free_idx in enumerate(free)]
-
         if d is None:
             # d = clip(x - alpha g) - x, made again only once a column has moved; only its
             # free entries count, since the trial's fixed entries are copied from x.
@@ -580,60 +576,57 @@ def _spg_block(
         np.add(x, d * (lam[0] if k == 1 else np.array(lam)) if lam.count(1.0) < k else d, out=trial)
         _clip(trial, c_l, c_h, out=trial)
         np.putmask(trial, fixed, x)
-        if _NEW_STAGE in phase:
-            # a column starting a stage evaluates its iterate
-            for j in range(k):
-                if phase[j] == _NEW_STAGE:
-                    trial[:, j] = x[:, j]
-
         s, q, totals = _smoothed_sums(op, trial, eps2, eps_p, p, rows)
 
         moved = []
-        accepted = []
+        ended = {}
         for j in range(k):
-            if phase[j] == _SEARCH:
-                if totals[j] < obj[j]:
-                    moved.append(j)
-                    accepted.append(j)
-                elif tries[j] == 0 and not np.count_nonzero(d.take(flat[j])):
-                    # a zero direction: the stage is at a stationary point
-                    end_stage(j, True)
-                elif tries[j] + 1 == _MAX_BACKTRACKS:
-                    end_stage(j, True)
-                else:
-                    tries[j] += 1
-                    lam[j] *= _BACKTRACK_FACTOR
-            else:
-                obj[j] = totals[j]
-                alpha[j] = _INITIAL_STEP
-                iters[j], lam[j], tries[j], phase[j] = 1, 1.0, 0, _SEARCH
+            if totals[j] < obj[j]:
                 moved.append(j)
-        if not moved:
-            continue
-        d = None
-
-        g_new = _gradients(op_t, s, q, p)
-        if accepted:
+            elif tries[j] == 0 and not np.count_nonzero(d.take(flat[j])):
+                # a zero direction: the stage is at a stationary point
+                ended[j] = True
+            elif tries[j] + 1 == _MAX_BACKTRACKS:
+                ended[j] = True
+            else:
+                tries[j] += 1
+                lam[j] *= _BACKTRACK_FACTOR
+        if moved:
+            d = None
+            g_new = _gradients(op_t, s, q, p)
             step, dg = trial - x, g_new - g
-            for j in accepted:
+            for j in moved:
                 step_j = step.take(flat[j])
                 sy = step_j.dot(dg.take(flat[j]))
                 alpha[j] = min(max(step_j.dot(step_j) / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
                 drop = obj[j] - totals[j]
                 obj[j] = totals[j]
                 if drop < rel_tol * max(abs(obj[j]), 1e-300):
-                    end_stage(j, True)
+                    ended[j] = True
                 elif iters[j] == budget[j]:
-                    end_stage(j, False)
+                    ended[j] = False
                 else:
                     iters[j] += 1
                     lam[j], tries[j] = 1.0, 0
-        # the moved columns take their trial and its gradient; the others keep theirs
-        x, trial, g, g_new = trial, x, g_new, g
-        if len(moved) < k:
-            for j in set(range(k)).difference(moved):
-                x[:, j] = trial[:, j]
-                g[:, j] = g_new[:, j]
+            # the moved columns take their trial and its gradient; the others keep theirs
+            x, trial, g, g_new = trial, x, g_new, g
+            if len(moved) < k:
+                for j in set(range(k)).difference(moved):
+                    x[:, j] = trial[:, j]
+                    g[:, j] = g_new[:, j]
+        if ended:
+            for j, stage_converged in ended.items():
+                out[user[j]] = (x[:, j].copy(), iters[j], stage_converged)
+            keep = [j for j in range(k) if j not in ended]
+            if not keep:
+                return out
+            for col in (user, free, rows, budget, iters, obj, alpha, lam, tries):
+                col[:] = [col[j] for j in keep]
+            x, g, fixed = (np.take(a, keep, axis=1) for a in (x, g, fixed))
+            k = len(keep)
+            trial = np.empty((n, k))
+            flat = [free_idx * k + j for j, free_idx in enumerate(free)]
+            d = None
 
 
 def _sfr_descents(
@@ -748,14 +741,8 @@ def l0_oracle(
     if max_sources < 0:
         raise ValueError("max_sources must be non-negative")
     obs_idx, obs_val = _observed_arrays(graph, observed, bounds)
-    labels = graph.component_labels()
     n = graph.item_count
-    obs_mask = np.zeros(n, dtype=bool)
-    obs_mask[obs_idx] = True
-    comp_observed = np.zeros(int(labels.max()) + 1 if n else 1, dtype=bool)
-    if obs_idx.size:
-        comp_observed[labels[obs_idx]] = True
-    active = comp_observed[labels] & (graph.degree > 0)
+    active, free = _reachable(graph, obs_idx)
     candidates = np.flatnonzero(active)
     total = sum(math.comb(candidates.size, k) for k in range(max_sources + 1))
     if total > 1_000_000:
@@ -763,7 +750,7 @@ def l0_oracle(
             f"{total} candidate source sets exceed the 10^6 enumeration guard"
         )
 
-    free_idx = np.flatnonzero(active & ~obs_mask)
+    free_idx = np.flatnonzero(free)
     eq_rows = candidates  # second derivative is defined exactly on active rows
     op = graph.second_difference_operators()[0]
     m_dense = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n)).toarray()

@@ -149,13 +149,15 @@ class ItemGraph:
         bit. The arrays are read-only.
         """
         if self._ops is None:
+            w = self._w
             inv = np.zeros(self.item_count)
             nz = self.degree > 0
             inv[nz] = 1.0 / self.degree[nz]
-            p = (sparse.diags(inv) @ self._w).tocsr()
-            p.sort_indices()
-            pt = p.T.tocsr()
-            pt.sort_indices()
+            # W is symmetric with sorted indices, so P = D^-1 W and P^T = W D^-1
+            # are W's own structure with each weight divided by a degree
+            row = np.repeat(np.arange(self.item_count), np.diff(w.indptr))
+            p = CsrArrays(w.indptr, w.indices, w.data * inv[row])
+            pt = CsrArrays(w.indptr, w.indices, w.data * inv[w.indices])
             self._ops = (_minus_identity(p), _minus_identity(pt))
         return self._ops
 
@@ -216,9 +218,9 @@ def _apply(op: CsrArrays, vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minus_identity(mat: sparse.csr_matrix) -> CsrArrays:
+def _minus_identity(mat: CsrArrays) -> CsrArrays:
     """``mat - I`` for a square CSR matrix with no stored diagonal, each row's -1 stored last."""
-    n = mat.shape[0]
+    n = mat.indptr.size - 1
     ends = mat.indptr[1:]
     # np.insert puts each value before the given position, so at the end of its row
     indptr = mat.indptr + np.arange(n + 1, dtype=mat.indptr.dtype)

@@ -622,8 +622,8 @@ def _objective(op, vec, rows, cfg):
 
 
 class TestSpgStage:
-    """Properties of one smoothing stage of the descent, checked on the block with the continuation cut to
-    a single stage at the case's smoothing (TestSpgBlock holds the whole continuation to the reference), on
+    """Properties of one smoothing stage of the descent, checked on :func:`_spg_stage` at the case's smoothing
+    with the whole budget for every column (TestSpgBlock holds the whole continuation to the reference), on
     random graphs with a degree-0 item (so every user's objective rows skip items) and sometimes an
     unobserved component, from the warm start or a random point of the box. In the box (1.3, 4.7), unlike
     (1, 5), x + lambda d often rounds past a bound."""
@@ -645,6 +645,16 @@ class TestSpgStage:
                 starts.append(start)
         return graph, cfg, starts
 
+    @staticmethod
+    def _stage(graph, cfg, starts, block=None):
+        """One stage at the case's smoothing over a block of the starts, rows passed as the descent passes them."""
+        n = graph.item_count
+        if block is None:
+            block = np.stack([start.warm for start in starts], axis=1)
+        rows = [start.rows if start.rows.size < n else None for start in starts]
+        return estimators._spg_stage(block, [start.free_idx for start in starts], rows, graph, cfg,
+                                     cfg.smoothing_eps, [cfg.max_iterations] * len(starts))
+
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_pins_observations_keeps_the_box_and_never_ends_above_its_start(self, seed):
@@ -665,9 +675,7 @@ class TestSpgStage:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(estimators, "_apply", recording)
-            # one stage at the case's smoothing, so that its objective is the one that never rises
-            mp.setattr(estimators, "_eps_schedule", lambda eps: [eps])
-            got = estimators._spg_block(starts, graph, cfg)
+            got = self._stage(graph, cfg, starts)
         # every vector the block evaluates keeps some start's observed entries bit for bit and its free ones
         # inside the box; columns leave the block in any order, so a column is matched by its observed entries
         assert len(trials) >= max(iters for _, iters, _ in got)
@@ -684,23 +692,23 @@ class TestSpgStage:
     def test_matches_the_reference_loop(self, seed):
         graph, cfg, starts = self._case(seed)
         before = [start.warm.tobytes() for start in starts]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "_eps_schedule", lambda eps: [eps])
-            got = estimators._spg_block(starts, graph, cfg)
-            for start, mine in zip(starts, got):
-                want = _reference_descent(start, *_walk_pair(graph), cfg)
-                assert mine[0].tobytes() == want[0].tobytes()
-                assert mine[1:] == want[1:]
+        block = np.stack([start.warm for start in starts], axis=1)
+        got = self._stage(graph, cfg, starts, block)
+        p_mat, pt_mat = _walk_pair(graph)
+        for start, mine in zip(starts, got):
+            want = _reference_spg_stage(start.warm, start.free_idx, start.rows, p_mat, pt_mat, cfg,
+                                        cfg.smoothing_eps, cfg.max_iterations, cfg.objective_rel_tol)
+            assert mine[0].tobytes() == want[0].tobytes()
+            assert mine[1:] == want[1:]
         assert [start.warm.tobytes() for start in starts] == before
+        assert block.tobytes() == np.stack([start.warm for start in starts], axis=1).tobytes()
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)
     def test_two_runs_agree(self, seed):
         graph, cfg, starts = self._case(seed)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(estimators, "_eps_schedule", lambda eps: [eps])
-            first = estimators._spg_block(starts, graph, cfg)
-            second = estimators._spg_block(starts, graph, cfg)
+        first = self._stage(graph, cfg, starts)
+        second = self._stage(graph, cfg, starts)
         assert [(x.tobytes(), *rest) for x, *rest in first] == [(x.tobytes(), *rest) for x, *rest in second]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -849,6 +857,24 @@ class TestSpgBlock:
         blocked = _block_predictions(graph, users, cfg, int(rng.integers(2, len(users) + 1)))
         for got, want in zip(blocked, _reference_predictions(graph, users, cfg)):
             _assert_same_recovery(got, want)
+
+    def test_hands_the_kernels_c_ordered_blocks(self, monkeypatch):
+        # columns leave the block as their stages end; the blocks left behind must stay C-ordered, the
+        # layout the kernels read, or graph._apply copies each one before its product
+        graph, split = _ring_graph(120, 40, 0.55)
+        users = list(_bound_users(graph, split, 10))
+        layouts = []
+        real = estimators._apply
+
+        def recording(arrays, vecs):
+            layouts.append((vecs.shape[1] if vecs.ndim == 2 else 1, vecs.flags.c_contiguous))
+            return real(arrays, vecs)
+
+        monkeypatch.setattr(estimators, "_apply", recording)
+        estimators._sfr_descents(graph, users, SolverConfig(bounds=(1.0, 5.0)))
+        # some kernel calls come after a column has left and while at least two remain
+        assert any(1 < width < len(users) for width, _ in layouts)
+        assert all(contiguous for _, contiguous in layouts)
 
 
 def _with_signed_zeros(rng, vec):
