@@ -23,7 +23,7 @@ import numpy as np
 from . import data as data_mod
 from . import evaluation as eval_mod
 from .data import RatingMatrix, Split, ToyFixture, ladder_toy_26, parse_ratings, split_ratings, square_toy
-from .estimators import SolverConfig, predict_hcp, predict_knn, predict_sfr
+from .estimators import ConvergenceError, SolverConfig, predict_hcp, predict_knn, predict_sfr
 from .graph import ItemGraph, build_item_graph, second_derivative, serialize_graph
 
 __all__ = ["ExperimentConfig", "main"]
@@ -302,7 +302,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, ConvergenceError) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,14 +11,16 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 from math import ceil
-from typing import IO, Optional, Sequence
+from typing import IO, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .data import RatingMatrix, RatingRecord, Split
-from .estimators import SolverConfig, SolverDiagnostics, _sfr_descents, predict_hcp, predict_knn, predict_sfr
+from .estimators import ConvergenceError, SolverConfig, SolverDiagnostics, _sfr_descents, _sfr_start
+from .estimators import predict_hcp, predict_knn, predict_sfr
 from .graph import ItemGraph
 
 __all__ = [
@@ -123,20 +125,8 @@ class EvaluationReport:
         ]
 
     def to_json(self) -> str:
-        payload = {
-            "n_test": self.n_test,
-            "n_classified": self.n_classified,
-            "n_unknown_items": self.n_unknown_items,
-            "class_counts": self.class_counts,
-            "class_fractions": self.class_fractions,
-            "rmse": self.rmse,
-            "rmse_counts": self.rmse_counts,
-            "error_contribution": self.error_contribution,
-            "error_contribution_total": self.error_contribution_total,
-            "fallback_counts": self.fallback_counts,
-            "solver_stats": self.solver_stats,
-            "rmse_by_truth": self.rmse_by_truth,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "truth_rows"}
+        payload["rmse_by_truth"] = self.rmse_by_truth
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def rmse_tsv(self) -> str:
@@ -160,69 +150,35 @@ def _rmse(residuals: list[float]) -> Optional[float]:
 
 
 @dataclass
-class _UserTask:
-    """A user's test records on the graph, their classes, and how many of the user's records name items off it."""
+class _UserResult:
+    """One test user's classified on-graph records, its count of off-graph
+    records and what each method made of the records.
+
+    ``estimates[method]`` lines up with ``records``: ``(estimate, is_fallback)``
+    where the method scores the record, None where it does not. kNN scores
+    every record, since its residuals feed the error-contribution table; hcp
+    and sfr score the bound-problem records only, which is what their RMSE
+    is reported on. Abstentions fall back to the user's training mean, then
+    the global training mean.
+    """
 
     user_id: str
-    records: list[RatingRecord]
-    classes: list[BoundClass]
+    records: list[tuple[RatingRecord, BoundClass]] = field(default_factory=list)
     n_unknown: int = 0
-
-
-@dataclass
-class _UserResult:
-    task: _UserTask
-    predictions: dict[str, dict[str, tuple[float, bool]]]
+    estimates: dict[str, list[Optional[tuple[float, bool]]]] = field(default_factory=dict)
     sfr_diag: Optional[SolverDiagnostics] = None
 
 
-def _bound_items(task: _UserTask) -> set[str]:
-    return {rec.item_id for rec, cls in zip(task.records, task.classes) if cls in (BoundClass.HIGHER, BoundClass.LOWER)}
+_BOUND = (BoundClass.HIGHER, BoundClass.LOWER)
 
 
-def _method_predictions(
-    graph: ItemGraph,
-    task: _UserTask,
-    observed: dict[str, float],
-    methods: Sequence[str],
-    config: SolverConfig,
-    fallback: float,
-    sfr_descent: Optional[tuple] = None,
-) -> _UserResult:
-    """Per-method {item: (estimate, is_fallback)} for one user.
-
-    kNN covers every test item (its residuals feed the error-contribution
-    table); hcp/sfr cover the bound-problem items only, which is what their
-    RMSE is reported on. Abstentions fall back to the user's training mean,
-    then the global training mean. ``sfr_descent`` is passed on to
-    :func:`predict_sfr` as its private ``_descent``.
-    """
-    bound_items = _bound_items(task)
-    all_items = {rec.item_id for rec in task.records}
-    result = _UserResult(task, predictions={})
-    for method in methods:
-        targets = all_items if method == "knn" else bound_items
-        if not targets:
-            result.predictions[method] = {}
-            continue
-        if method == "knn":
-            rec = predict_knn(graph, observed, targets)
-        elif method == "hcp":
-            rec = predict_hcp(graph, observed, targets)
-        elif method == "sfr":
-            rec = predict_sfr(graph, observed, targets, config, _descent=sfr_descent)
-        else:
-            raise ValueError(f"unknown method {method!r}")
-        got: dict[str, tuple[float, bool]] = {}
-        for item in targets:
-            if item in rec.estimates:
-                got[item] = (rec.estimates[item], False)
-            else:
-                got[item] = (fallback, True)
-        if method == "sfr":
-            result.sfr_diag = rec.diagnostics
-        result.predictions[method] = got
-    return result
+@contextmanager
+def _naming(user_id: str, method: str) -> Iterator[None]:
+    """Re-raise a solver failure naming the user and the estimator it stopped."""
+    try:
+        yield
+    except ConvergenceError as exc:
+        raise ConvergenceError(f"user {user_id!r}, {method}: {exc}") from exc
 
 
 # most users whose sfr descents share one block (see _EvalContext.run_block).
@@ -243,47 +199,64 @@ class _EvalContext:
     config: SolverConfig
     global_mean: float
 
-    def _inputs(self, user_pos: int) -> tuple[_UserTask, dict[str, float], float]:
-        """A user's classified task, observed ratings on the graph and fallback estimate.
-
-        Reads the user's training map once, both to classify the user's test
-        records and to take its observations.
-        """
+    def _inputs(self, user_pos: int) -> tuple[_UserResult, dict[str, float], float]:
+        """A user's result with its records classified, its observed ratings on the graph and its
+        fallback estimate, all from one read of the user's training map."""
         graph, train = self.graph, self.train
         user_id, records = self.users[user_pos]
         user = train.user_index.get(user_id)
         rated = None if user is None else train.user_ratings(user)
-        task = _UserTask(user_id, [], [])
+        result = _UserResult(user_id)
         for rec in records:
             try:
-                cls = _classify(rec, rated, train, graph)
+                result.records.append((rec, _classify(rec, rated, train, graph)))
             except UnknownItemError:
-                task.n_unknown += 1
-                continue
-            task.records.append(rec)
-            task.classes.append(cls)
-        if rated is None:
-            return task, {}, self.global_mean
+                result.n_unknown += 1
+        if not rated:
+            return result, {}, self.global_mean
         observed = {train.items[i]: r for i, r in rated.items() if train.items[i] in graph.item_index}
-        return task, observed, float(np.mean(list(rated.values()))) if rated else self.global_mean
+        return result, observed, float(np.mean(list(rated.values())))
 
-    def run_block(self, positions: Sequence[int]) -> list[tuple[int, _UserResult]]:
+    def run_block(self, positions: Sequence[int]) -> list[_UserResult]:
         """Score the users at ``positions``, running their sfr descents as one block.
 
-        Every estimator is still called once per user, in the order of
-        ``positions``; :func:`predict_sfr` receives the user's set-up and the
-        block's descent, so it only scores the result.
+        Every estimator is still called once per user it scores, in the order
+        of ``positions``; :func:`predict_sfr` receives the user's set-up and
+        the block's descent, so it only scores the result.
         """
+        graph, config = self.graph, self.config
         inputs = [self._inputs(pos) for pos in positions]
-        descents: list[Optional[tuple]] = [None] * len(inputs)
+        bound = [[cls in _BOUND for _, cls in result.records] for result, _, _ in inputs]
+        descents = iter(())
         if "sfr" in self.methods:
-            scored = [k for k, (task, _, _) in enumerate(inputs) if _bound_items(task)]
-            for k, descent in zip(scored, _sfr_descents(self.graph, [inputs[k][1] for k in scored], self.config)):
-                descents[k] = descent
-        return [
-            (pos, _method_predictions(self.graph, task, observed, self.methods, self.config, fallback, descent))
-            for pos, (task, observed, fallback), descent in zip(positions, inputs, descents)
-        ]
+            scored = [(result.user_id, observed) for (result, observed, _), b in zip(inputs, bound) if any(b)]
+            try:
+                descents = iter(_sfr_descents(graph, [observed for _, observed in scored], config))
+            except ConvergenceError:
+                # only a warm start can fail; solve them again one by one to name the user
+                for user_id, observed in scored:
+                    with _naming(user_id, "sfr"):
+                        _sfr_start(graph, observed, config)
+                raise
+        for (result, observed, fallback), is_bound in zip(inputs, bound):
+            for method in self.methods:
+                scores = [True] * len(is_bound) if method == "knn" else is_bound
+                targets = {rec.item_id for (rec, _), s in zip(result.records, scores) if s}
+                est: dict[str, float] = {}
+                if targets:
+                    with _naming(result.user_id, method):
+                        if method == "knn":
+                            est = predict_knn(graph, observed, targets).estimates
+                        elif method == "hcp":
+                            est = predict_hcp(graph, observed, targets).estimates
+                        else:
+                            recovery = predict_sfr(graph, observed, targets, config, _descent=next(descents))
+                            est, result.sfr_diag = recovery.estimates, recovery.diagnostics
+                result.estimates[method] = [
+                    ((est[rec.item_id], False) if rec.item_id in est else (fallback, True)) if s else None
+                    for (rec, _), s in zip(result.records, scores)
+                ]
+        return [result for result, _, _ in inputs]
 
 
 # Set once in each pool worker by the pool initializer, never in the parent.
@@ -297,7 +270,7 @@ def _init_worker(ctx: _EvalContext) -> None:
     _WORKER_CTX = ctx
 
 
-def _run_block_in_worker(positions: Sequence[int]) -> list[tuple[int, _UserResult]]:
+def _run_block_in_worker(positions: Sequence[int]) -> list[_UserResult]:
     assert _WORKER_CTX is not None, "pool worker started without _init_worker"
     return _WORKER_CTX.run_block(positions)
 
@@ -316,7 +289,8 @@ def evaluate(
     naming items outside the graph are counted and excluded. Per-user work is
     independent; with ``jobs`` > 1 it fans out over processes, and results
     are aggregated in user order so the report is identical for any ``jobs``
-    and any multiprocessing start method.
+    and any multiprocessing start method. A :class:`ConvergenceError` names
+    the user and the estimator that failed.
 
     When ``predictions_out`` is given, every prediction is dumped as
     ``user,item,estimate,method,is_fallback`` lines.
@@ -337,48 +311,24 @@ def evaluate(
     # with jobs > 1, blocks small enough that every worker gets one
     size = max(1, min(_BLOCK_USERS, ceil(len(users) / max(1, jobs))))
     blocks = [range(start, min(start + size, len(users))) for start in range(0, len(users), size)]
-    results: dict[int, _UserResult] = {}
     if jobs > 1 and len(users) > 1:
         from concurrent.futures import ProcessPoolExecutor  # here, so jobs=1 never loads multiprocessing
-        with ProcessPoolExecutor(
-            max_workers=jobs, initializer=_init_worker, initargs=(ctx,)
-        ) as pool:
-            for block in pool.map(_run_block_in_worker, blocks):
-                results.update(block)
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(ctx,)) as pool:
+            # map returns the blocks in order
+            results = [result for block in pool.map(_run_block_in_worker, blocks) for result in block]
     else:
-        for block in blocks:
-            results.update(ctx.run_block(block))
+        results = [result for block in blocks for result in ctx.run_block(block)]
 
     # aggregate in fixed user order so output is schedule-independent
-    n_unknown = 0
     class_counts = {c.value: 0 for c in BoundClass}
     by_truth: dict[tuple[str, str, str], list[float]] = {}
     fallback_counts = {m: 0 for m in methods}
-    contribution: Optional[dict[str, float]] = None
     knn_sq: dict[str, float] = {c.value: 0.0 for c in BoundClass}
-    sfr_iters: list[float] = []
-    sfr_objectives: list[float] = []
-    sfr_sources: list[float] = []
-    sfr_converged = 0
-    sfr_users = 0
-
-    for pos in range(len(users)):
-        user_result = results[pos]
-        task = user_result.task
-        n_unknown += task.n_unknown
-        for cls in task.classes:
+    for result in results:
+        for _, cls in result.records:
             class_counts[cls.value] += 1
-        diag = user_result.sfr_diag
-        if diag is not None:
-            sfr_users += 1
-            sfr_iters.append(float(diag.iterations_used))
-            sfr_objectives.append(float(diag.final_objective))
-            sfr_sources.append(float(diag.source_count))
-            sfr_converged += bool(diag.converged)
         for method in methods:
-            got = user_result.predictions[method]
-            for rec, cls in zip(task.records, task.classes):
-                entry = got.get(rec.item_id)
+            for (rec, cls), entry in zip(result.records, result.estimates[method]):
                 if entry is None:
                     continue
                 est, is_fb = entry
@@ -387,20 +337,15 @@ def evaluate(
                     fallback_counts[method] += 1
                 if method == "knn":
                     knn_sq[cls.value] += residual * residual
-                if cls in (BoundClass.HIGHER, BoundClass.LOWER):
+                if cls in _BOUND:
                     truth_key = _truth_key(rec.rating)
                     by_truth.setdefault((method, cls.value, truth_key), []).append(residual)
                     by_truth.setdefault((method, cls.value, "all"), []).append(residual)
                     by_truth.setdefault((method, "all", "all"), []).append(residual)
                 if predictions_out is not None:
-                    predictions_out.write(
-                        f"{task.user_id},{rec.item_id},{est!r},{method},{int(is_fb)}\n"
-                    )
+                    predictions_out.write(f"{result.user_id},{rec.item_id},{est!r},{method},{int(is_fb)}\n")
 
-    if "knn" in methods:
-        total_sq = sum(knn_sq.values())
-        contribution = dict(knn_sq)
-        contribution["total"] = total_sq
+    contribution = {**knn_sq, "total": sum(knn_sq.values())} if "knn" in methods else None
 
     # a class's "all" group holds its residuals in aggregation order
     groups = ("all", BoundClass.HIGHER.value, BoundClass.LOWER.value)
@@ -413,13 +358,14 @@ def evaluate(
         for (m, cls, truth), res in sorted(by_truth.items())
     ]
     solver_stats: dict[str, dict[str, float]] = {}
-    if sfr_users:
+    diags = [result.sfr_diag for result in results if result.sfr_diag is not None]
+    if diags:
         solver_stats["sfr"] = {
-            "users_solved": float(sfr_users),
-            "mean_iterations": float(np.mean(sfr_iters)),
-            "mean_final_objective": float(np.mean(sfr_objectives)),
-            "mean_source_count": float(np.mean(sfr_sources)),
-            "converged_fraction": sfr_converged / sfr_users,
+            "users_solved": float(len(diags)),
+            "mean_iterations": float(np.mean([d.iterations_used for d in diags])),
+            "mean_final_objective": float(np.mean([d.final_objective for d in diags])),
+            "mean_source_count": float(np.mean([d.source_count for d in diags])),
+            "converged_fraction": sum(bool(d.converged) for d in diags) / len(diags),
         }
 
     n_classified = sum(class_counts.values())
@@ -430,7 +376,7 @@ def evaluate(
     return EvaluationReport(
         n_test=len(split.test),
         n_classified=n_classified,
-        n_unknown_items=n_unknown,
+        n_unknown_items=sum(result.n_unknown for result in results),
         class_counts=class_counts,
         class_fractions=fractions,
         rmse=rmse,

@@ -85,7 +85,9 @@ class ItemGraph:
         rows, cols, vals = [], [], []
         seen: set[tuple[int, int]] = set()
         for a, b, w in edges:
-            ia, ib = index[str(a)], index[str(b)]
+            ia, ib = index.get(str(a)), index.get(str(b))
+            if ia is None or ib is None:
+                raise ValueError(f"edge references undeclared item {a!r} or {b!r}")
             if ia == ib:
                 raise ValueError(f"self-loop on item {a!r}")
             key = (min(ia, ib), max(ia, ib))
@@ -474,15 +476,6 @@ def parse_graph(stream: IO[str]) -> ItemGraph:
             names.setdefault(a)
             names.setdefault(b)
         items = list(names)
-    known = set(items)
-    seen: set[tuple[str, str]] = set()
-    for a, b, _ in edges:
-        if a not in known or b not in known:
-            raise GraphFormatError(f"edge references undeclared item {a!r} or {b!r}")
-        key = (min(a, b), max(a, b))
-        if key in seen:
-            raise GraphFormatError(f"duplicate edge {a!r}--{b!r}")
-        seen.add(key)
     try:
         return ItemGraph.from_edges(items, edges)
     except ValueError as exc:

@@ -1,13 +1,16 @@
+import concurrent.futures
 import io
 import json
+import multiprocessing
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from rategraph import SolverConfig
+from rategraph import SolverConfig, estimators
 from rategraph.cli import ExperimentConfig, main
 from tests.conftest import random_rating_matrix
 
@@ -170,6 +173,41 @@ class TestEvaluateCommand:
         assert _run(capsys, *base, "--output-dir", str(out2), "--jobs", "2")[0] == 0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "rmse.tsv").read_bytes() == (out2 / "rmse.tsv").read_bytes()
+
+
+class TestSolverFailure:
+    """A solver failure exits 1 with one stage-labelled line that names the user and the estimator."""
+
+    # with a tolerance of 0 the CG residual can reach exactly 0, and its next step divides 0 by 0
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("method", ["hcp", "sfr"])
+    def test_names_user_and_method(self, tmp_path, capsys, monkeypatch, small_dataset, method):
+        monkeypatch.setattr(estimators, "_CG_REL_TOL", 0.0)
+        all_jobs, pools = ["1"], []
+
+        def forked_pool(*args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+        # the patched tolerance reaches pool workers only when they fork
+        if "fork" in multiprocessing.get_all_start_methods():
+            all_jobs.append("2")
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forked_pool)
+        errors = set()
+        for jobs in all_jobs:
+            code, stdout, err = _run(
+                capsys, "evaluate", "--dataset", str(small_dataset), "--format", "csv", "--threshold", "0.2",
+                "--methods", method, "--jobs", jobs, "--output-dir", str(tmp_path / "out"),
+            )
+            assert (code, stdout) == (1, "")
+            assert re.fullmatch(
+                rf"evaluate: error: user 'u\d+', {method}: harmonic CG solve did not reach residual 0 within \d+ iterations\n",
+                err,
+            ), err
+            errors.add(err)
+        # the pool's first block starts with the same users as the serial run's
+        assert len(errors) == 1
+        assert pools == [2] * (len(all_jobs) - 1)
 
 
 class TestPredictCommand:

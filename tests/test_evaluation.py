@@ -234,6 +234,46 @@ class TestEvaluate:
         assert report.n_unknown_items == 1
         assert report.n_classified == 0
 
+    def test_predictions_align_with_records(self, monkeypatch):
+        # a chain x0..x5, a component y1-y2 and a degree-0 item; u rated x1=2 and x3=4, w rated x1..x3 and y2
+        names = ["x0", "x1", "x2", "x3", "x4", "x5"]
+        edges = [(a, b, 1.0) for a, b in zip(names, names[1:])] + [("y1", "y2", 1.0)]
+        graph = ItemGraph.from_edges(names + ["y1", "y2", "lone"], edges)
+        train = _train([("u", "x1", 2.0), ("u", "x3", 4.0), ("w", "x1", 3.0), ("w", "x2", 3.0), ("w", "x3", 3.0),
+                        ("w", "y2", 4.0)])
+        test = [
+            RatingRecord("u", "x4", 5.0),  # higher than x3
+            RatingRecord("u", "offgraph", 3.0),
+            RatingRecord("u", "x2", 3.0),  # neither
+            RatingRecord("u", "y1", 3.0),  # unclassifiable: u rated nothing in y1's component, so knn abstains
+            RatingRecord("u", "x0", 1.0),  # lower than x1
+            RatingRecord("u", "lone", 4.0),  # unclassifiable: no neighbors, so knn abstains
+            RatingRecord("w", "x4", 1.0),  # lower than x3
+        ]
+        split = Split(train=train, test=test, fraction=0.8, seed=0)
+        dumps = set()
+        for size in (1, 64):
+            monkeypatch.setattr(evaluation, "_BLOCK_USERS", size)
+            for jobs in (1, 2):
+                dump = io.StringIO()
+                report = evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=(1, 5)), jobs=jobs,
+                                  predictions_out=dump)
+                dumps.add(dump.getvalue())
+        assert len(dumps) == 1
+        assert report.n_unknown_items == 1
+        assert report.class_counts == {"higher": 1, "lower": 2, "neither": 1, "unclassifiable": 2}
+        rows = [line.split(",") for line in dumps.pop().splitlines()]
+        # knn on every on-graph record, hcp and sfr on bound records only, each in record order
+        assert [(user, item, method, fb) for user, item, _, method, fb in rows] == [
+            ("u", "x4", "knn", "0"), ("u", "x2", "knn", "0"), ("u", "y1", "knn", "1"), ("u", "x0", "knn", "0"),
+            ("u", "lone", "knn", "1"),
+            ("u", "x4", "hcp", "0"), ("u", "x0", "hcp", "0"),
+            ("u", "x4", "sfr", "0"), ("u", "x0", "sfr", "0"),
+            ("w", "x4", "knn", "0"), ("w", "x4", "hcp", "0"), ("w", "x4", "sfr", "0"),
+        ]
+        # knn averages the rated neighbors; an abstention falls back to u's training mean
+        assert [float(est) for _, _, est, _, _ in rows[:5]] == [4.0, 3.0, 3.0, 2.0, 3.0]
+
     def test_report_identical_across_jobs(self, monkeypatch):
         split, fix = _toy_ladder_split(mirrored_user=True)
         cfg = SolverConfig(bounds=fix.bounds)
@@ -450,29 +490,31 @@ class TestSfrBlocks:
             assert len(set(outputs.values())) == 1
             assert json.loads(outputs[1, 1][0])["solver_stats"]["sfr"]["users_solved"] > 10
 
-    def test_predict_sfr_called_once_per_user_in_sorted_order(self, ring_panel, monkeypatch):
-        # the benchmark's tracer wraps evaluation.predict_sfr and gives its k-th call to the k-th user
+    @pytest.mark.parametrize("method", ["knn", "hcp", "sfr"])
+    def test_predict_called_once_per_scored_user_in_sorted_order(self, ring_panel, monkeypatch, method):
+        # the benchmark's tracer wraps evaluation.predict_* and gives each one's k-th call to the k-th user it scores
         split, graph = ring_panel
         calls = []
-        real = evaluation.predict_sfr
+        real = getattr(evaluation, f"predict_{method}")
 
         def recording(*args, **kwargs):
             rec = real(*args, **kwargs)
             calls.append((args[1], rec))
             return rec
 
-        monkeypatch.setattr(evaluation, "predict_sfr", recording)
+        monkeypatch.setattr(evaluation, f"predict_{method}", recording)
         evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0)))
         train = split.train
-        bound = (BoundClass.HIGHER, BoundClass.LOWER)
-        users = sorted({rec.user_id for rec in split.test if classify_bound(rec, train, graph) in bound})
+        # knn scores every record on the graph, hcp and sfr the bound records
+        scored = set(BoundClass) if method == "knn" else {BoundClass.HIGHER, BoundClass.LOWER}
+        users = sorted({rec.user_id for rec in split.test if classify_bound(rec, train, graph) in scored})
         observed = [
             {train.items[i]: r for i, r in train.user_ratings(train.user_index[user]).items()
              if train.items[i] in graph.item_index}
             for user in users
         ]
         assert [obs for obs, _ in calls] == observed
-        assert all(rec.diagnostics is not None and rec.method == "sfr" for _, rec in calls)
+        assert all(rec.method == method and (rec.diagnostics is not None) == (method == "sfr") for _, rec in calls)
 
 
 def _complete_graph(names):

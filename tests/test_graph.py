@@ -160,6 +160,10 @@ class TestItemGraphValidation:
         with pytest.raises(ValueError, match="duplicate"):
             ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0), ("b", "a", 0.5)])
 
+    def test_undeclared_item_rejected(self):
+        with pytest.raises(ValueError, match="edge references undeclared item 'a' or 'c'"):
+            ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0), ("a", "c", 1.0)])
+
     def test_nonpositive_weight_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             ItemGraph.from_edges(["a", "b"], [("a", "b", -1.0)])
@@ -287,6 +291,14 @@ class TestSerialization:
         text = "a\tb\t0.5\nb\ta\t0.5\n"
         with pytest.raises(GraphFormatError, match="duplicate"):
             parse_graph(io.StringIO(text))
+
+    def test_undeclared_item_rejected(self):
+        header = "#items\t2\n#item\ta\n#item\tb\n"
+        with pytest.raises(GraphFormatError, match="edge references undeclared item 'a' or 'c'"):
+            parse_graph(io.StringIO(header + "a\tb\t0.5\na\tc\t0.5\n"))
+        # of two faults, the first in edge order is reported
+        with pytest.raises(GraphFormatError, match="self-loop"):
+            parse_graph(io.StringIO(header + "a\ta\t0.5\na\tc\t0.5\n"))
 
 
 # -- the graph build's product kernel, and the build against the six-product reference
