@@ -243,7 +243,7 @@ def _harmonic_extend(
         inv_d[free_idx] = 1.0 / d[free_idx]
         x = np.zeros(n)
         x[obs_idx] = obs_val
-        r = mask * (w @ x)
+        r = mask * _apply(w_op, x)
         z = r * inv_d
         p = z.copy()
         rz = r @ z
@@ -458,12 +458,13 @@ def _spg_block(
 ) -> list[tuple[np.ndarray, int, bool]]:
     """The sfr descent of each start, one column of an (n x k) block per start.
 
-    Returns ``(x, iterations, converged)`` per start; every start must have
-    a free item. The descent anneals the smoothing from one rating unit
-    down to ``config.smoothing_eps``. At the target smoothing (default 1e-6)
-    the objective has an extremely narrow curvature well around every zero
-    of the second derivative, and the all-flat harmonic warm start cannot be
-    escaped by descent. Annealing keeps early stages soft enough for the
+    Returns ``(x, iterations, converged)`` per start; a start with no free
+    item has nothing to descend and comes back as ``(warm, 0, True)``
+    without entering a stage. The descent anneals the smoothing from one
+    rating unit down to ``config.smoothing_eps``. At the target smoothing
+    (default 1e-6) the objective has an extremely narrow curvature well
+    around every zero of the second derivative, and the all-flat harmonic
+    warm start cannot be escaped by descent. Annealing keeps early stages soft enough for the
     gradient to reshape the solution and late stages sharp enough to pin
     the sources. Each stage is one :func:`_spg_stage` over the columns that
     have iterations left: each goes on from where its last stage ended, with
@@ -480,7 +481,7 @@ def _spg_block(
     x = [st.warm for st in starts]
     used = [0] * len(starts)
     converged = [True] * len(starts)
-    live = list(range(len(starts)))
+    live = [j for j, st in enumerate(starts) if st.free_idx.size]
     for stage, eps in enumerate(stages):
         budgets = {j: _stage_budget(config, len(stages), stage, used[j]) for j in live}
         for j in live:
@@ -629,25 +630,13 @@ def _spg_stage(
             d = None
 
 
-def _sfr_descents(
-    graph: ItemGraph, observeds: list[dict[str, float]], config: SolverConfig
-) -> list[tuple[_SfrStart, Optional[tuple[np.ndarray, int, bool]]]]:
-    """Each user's set-up and the ``(x, iterations, converged)`` of its column in one block of users.
-
-    The descent is None for a user with no free item, who has nothing to descend.
-    """
-    starts = [_sfr_start(graph, observed, config) for observed in observeds]
-    outcomes = iter(_spg_block([start for start in starts if start.free_idx.size], graph, config))
-    return [(start, next(outcomes) if start.free_idx.size else None) for start in starts]
-
-
 def predict_sfr(
     graph: ItemGraph,
     observed: dict[str, float],
     targets: Iterable[str],
     config: SolverConfig,
     *,
-    _descent: Optional[tuple[_SfrStart, Optional[tuple[np.ndarray, int, bool]]]] = None,
+    _descent: Optional[tuple[_SfrStart, tuple[np.ndarray, int, bool]]] = None,
 ) -> UserRecovery:
     """Scalar function recovery: minimize the smoothed l_p norm of grad2 R.
 
@@ -662,9 +651,12 @@ def predict_sfr(
 
     The descent is :func:`_spg_block`, here on this user's start alone.
     ``_descent`` is private to :func:`rategraph.evaluation.evaluate`: this
-    user's entry of :func:`_sfr_descents` over a block of users.
+    user's start and its column of a block of users.
     """
-    start, descent = _descent if _descent is not None else _sfr_descents(graph, [observed], config)[0]
+    if _descent is None:
+        start = _sfr_start(graph, observed, config)
+        _descent = start, _spg_block([start], graph, config)[0]
+    start, (x, iterations, converged) = _descent
     op = graph.second_difference_operators()[0]
     eps = config.smoothing_eps
 
@@ -674,13 +666,9 @@ def predict_sfr(
 
     best = start.warm
     best_s, best_obj = final_objective(best)
-    iterations = 0
-    converged = True
-    if descent is not None:
-        x, iterations, converged = descent
-        s, obj = final_objective(x)
-        if obj < best_obj:
-            best, best_s, best_obj = x, s, obj
+    s, obj = final_objective(x)
+    if obj < best_obj:
+        best, best_s, best_obj = x, s, obj
 
     values = np.where(start.solved, best, np.nan)
     # a row's second derivative reads only items that are rows themselves

@@ -19,7 +19,7 @@ from typing import IO, Iterator, Optional, Sequence
 import numpy as np
 
 from .data import RatingMatrix, RatingRecord, Split
-from .estimators import ConvergenceError, SolverConfig, SolverDiagnostics, _sfr_descents, _sfr_start
+from .estimators import ConvergenceError, SolverConfig, SolverDiagnostics, _sfr_start, _spg_block
 from .estimators import predict_hcp, predict_knn, predict_sfr
 from .graph import ItemGraph
 
@@ -222,22 +222,17 @@ class _EvalContext:
 
         Every estimator is still called once per user it scores, in the order
         of ``positions``; :func:`predict_sfr` receives the user's set-up and
-        the block's descent, so it only scores the result.
+        its column of the block's descent, so it only scores the result.
         """
         graph, config = self.graph, self.config
         inputs = [self._inputs(pos) for pos in positions]
         bound = [[cls in _BOUND for _, cls in result.records] for result, _, _ in inputs]
-        descents = iter(())
-        if "sfr" in self.methods:
-            scored = [(result.user_id, observed) for (result, observed, _), b in zip(inputs, bound) if any(b)]
-            try:
-                descents = iter(_sfr_descents(graph, [observed for _, observed in scored], config))
-            except ConvergenceError:
-                # only a warm start can fail; solve them again one by one to name the user
-                for user_id, observed in scored:
-                    with _naming(user_id, "sfr"):
-                        _sfr_start(graph, observed, config)
-                raise
+        starts = []
+        for (result, observed, _), is_bound in zip(inputs, bound):
+            if "sfr" in self.methods and any(is_bound):
+                with _naming(result.user_id, "sfr"):
+                    starts.append(_sfr_start(graph, observed, config))
+        descents = zip(starts, _spg_block(starts, graph, config))
         for (result, observed, fallback), is_bound in zip(inputs, bound):
             for method in self.methods:
                 scores = [True] * len(is_bound) if method == "knn" else is_bound
@@ -290,7 +285,8 @@ def evaluate(
     independent; with ``jobs`` > 1 it fans out over processes, and results
     are aggregated in user order so the report is identical for any ``jobs``
     and any multiprocessing start method. A :class:`ConvergenceError` names
-    the user and the estimator that failed.
+    the user and the estimator that failed; a pool starts no block once
+    one has failed, and raises the first failure in user order.
 
     When ``predictions_out`` is given, every prediction is dumped as
     ``user,item,estimate,method,is_fallback`` lines.
@@ -312,10 +308,21 @@ def evaluate(
     size = max(1, min(_BLOCK_USERS, ceil(len(users) / max(1, jobs))))
     blocks = [range(start, min(start + size, len(users))) for start in range(0, len(users), size)]
     if jobs > 1 and len(users) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, so jobs=1 never loads multiprocessing
+        # here, so jobs=1 never loads multiprocessing
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
         with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(ctx,)) as pool:
-            # map returns the blocks in order
-            results = [result for block in pool.map(_run_block_in_worker, blocks) for result in block]
+            # one block per worker at a time, and none once a block has failed: pool.map would queue
+            # blocks ahead, and the executor runs every block it has queued
+            futures = []
+            for block in blocks:
+                running = [future for future in futures if not future.done()]
+                if len(running) == jobs:
+                    wait(running, return_when=FIRST_COMPLETED)
+                if any(future.done() and future.exception() for future in futures):
+                    break
+                futures.append(pool.submit(_run_block_in_worker, block))
+            # the blocks started are a prefix, so the first failing block in user order raises here
+            results = [result for future in futures for result in future.result()]
     else:
         results = [result for block in blocks for result in ctx.run_block(block)]
 

@@ -14,6 +14,7 @@ second derivative and are excluded from all solves.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Optional
 
@@ -94,6 +95,9 @@ class ItemGraph:
             if key in seen:
                 raise ValueError(f"duplicate edge {a!r}--{b!r}")
             seen.add(key)
+            # checked here, since the constructor drops a zero weight before its own check
+            if not 0 < float(w) < math.inf:
+                raise ValueError(f"edge {a!r}--{b!r} has weight {float(w)!r}; weights must be positive and finite")
             rows += [ia, ib]
             cols += [ib, ia]
             vals += [float(w), float(w)]

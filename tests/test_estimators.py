@@ -759,7 +759,8 @@ def _reference_predictions(graph, users, cfg):
     out = []
     for observed in users:
         start = estimators._sfr_start(graph, observed, cfg)
-        descent = _reference_descent(start, p_mat, pt_mat, cfg) if start.free_idx.size else None
+        # a start with no free item has nothing to descend
+        descent = _reference_descent(start, p_mat, pt_mat, cfg) if start.free_idx.size else (start.warm, 0, True)
         out.append(predict_sfr(graph, observed, list(graph.items), cfg, _descent=(start, descent)))
     return out
 
@@ -769,8 +770,9 @@ def _block_predictions(graph, users, cfg, size):
     out = []
     for b in range(0, len(users), size):
         block = users[b:b + size]
+        starts = [estimators._sfr_start(graph, observed, cfg) for observed in block]
         out += [predict_sfr(graph, observed, list(graph.items), cfg, _descent=descent)
-                for observed, descent in zip(block, estimators._sfr_descents(graph, block, cfg))]
+                for observed, descent in zip(block, zip(starts, estimators._spg_block(starts, graph, cfg)))]
     return out
 
 
@@ -871,10 +873,36 @@ class TestSpgBlock:
             return real(arrays, vecs)
 
         monkeypatch.setattr(estimators, "_apply", recording)
-        estimators._sfr_descents(graph, users, SolverConfig(bounds=(1.0, 5.0)))
+        cfg = SolverConfig(bounds=(1.0, 5.0))
+        estimators._spg_block([estimators._sfr_start(graph, observed, cfg) for observed in users], graph, cfg)
         # some kernel calls come after a column has left and while at least two remain
         assert any(1 < width < len(users) for width, _ in layouts)
         assert all(contiguous for _, contiguous in layouts)
+
+    def test_start_without_free_item_returns_its_warm_start(self, ladder, monkeypatch):
+        # every item observed: nothing is free, so the start never enters a stage, alone or in a mixed block
+        cfg = SolverConfig(bounds=(1, 9))
+        graph = ladder.graph
+        full = estimators._sfr_start(graph, {name: 1.0 + k % 9 for k, name in enumerate(graph.items)}, cfg)
+        free = estimators._sfr_start(graph, ladder.observed, cfg)
+        assert full.free_idx.size == 0 and free.free_idx.size
+        [(alone_x, *alone)] = estimators._spg_block([free], graph, cfg)
+        widths = []
+        real = estimators._apply
+
+        def recording(arrays, vecs):
+            widths.append(vecs.shape[1] if vecs.ndim == 2 else 1)
+            return real(arrays, vecs)
+
+        monkeypatch.setattr(estimators, "_apply", recording)
+        [(x, *rest)] = estimators._spg_block([full], graph, cfg)
+        assert (x.tobytes(), rest, widths) == (full.warm.tobytes(), [0, True], [])
+        (x0, *rest0), (x, *rest), (x2, *rest2) = estimators._spg_block([free, full, free], graph, cfg)
+        assert (x.tobytes(), rest) == (full.warm.tobytes(), [0, True])
+        assert max(widths) == 2
+        # the columns beside it descend as they do alone
+        assert x0.tobytes() == x2.tobytes() == alone_x.tobytes()
+        assert rest0 == rest2 == alone
 
 
 def _with_signed_zeros(rng, vec):

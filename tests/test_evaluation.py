@@ -6,14 +6,17 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from rategraph import (
     BoundClass,
+    ConvergenceError,
     ItemGraph,
     RatingMatrix,
     RatingRecord,
@@ -363,6 +366,43 @@ class TestEvaluateStartMethods:
         )
         parallel = evaluate(["knn", "hcp", "sfr"], split, graph, cfg, jobs=2)
         assert parallel.to_json() == serial_json
+
+
+# where _failing_block logs the blocks it starts; set before the pool forks, so its workers inherit it
+_STARTED_LOG: Optional[Path] = None
+
+
+def _failing_block(positions):
+    """A pool task that logs each block it starts, fails on the first block and runs the others slowly."""
+    with open(_STARTED_LOG, "a") as log:
+        log.write(f"{positions[0]}\n")
+    if positions[0] == 0:
+        raise ConvergenceError("the first block failed")
+    time.sleep(0.5)
+    return evaluation._WORKER_CTX.run_block(positions)
+
+
+class TestPoolFailure:
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs the fork start method")
+    def test_stops_at_the_first_failing_block(self, small_tent, tmp_path, monkeypatch):
+        split, graph, cfg, _ = small_tent
+        pools = []
+
+        def forked_pool(*args, **kwargs):
+            # forked, so the workers see the patched task and log path
+            pools.append(kwargs["max_workers"])
+            return ProcessPoolExecutor(*args, mp_context=multiprocessing.get_context("fork"), **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", forked_pool)
+        monkeypatch.setattr(evaluation, "_BLOCK_USERS", 1)
+        monkeypatch.setattr(evaluation, "_run_block_in_worker", _failing_block)
+        monkeypatch.setattr(sys.modules[__name__], "_STARTED_LOG", tmp_path / "started.txt")
+        with pytest.raises(ConvergenceError, match="^the first block failed$"):
+            evaluate(["knn"], split, graph, cfg, jobs=2)
+        assert pools == [2]
+        # every user is a block; block 0 fails while the other worker runs block 1, and no other block starts
+        assert len({rec.user_id for rec in split.test}) > 2
+        assert sorted((tmp_path / "started.txt").read_text().split()) == ["0", "1"]
 
 
 _REPORT_KEYS = (

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -165,8 +166,10 @@ class TestItemGraphValidation:
             ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0), ("a", "c", 1.0)])
 
     def test_nonpositive_weight_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            ItemGraph.from_edges(["a", "b"], [("a", "b", -1.0)])
+        # a zero weight would otherwise vanish from the adjacency, edge and all
+        for weight in [-1.0, 0.0, -0.0, math.nan, math.inf]:
+            with pytest.raises(ValueError, match=rf"edge 'b'--'c' has weight {weight!r}; weights must be positive and finite"):
+                ItemGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", weight)])
 
     def test_degree_matches_weight_sums(self):
         rng = np.random.default_rng(7)
@@ -286,6 +289,10 @@ class TestSerialization:
     def test_bad_weight(self):
         with pytest.raises(GraphFormatError, match="weight"):
             parse_graph(io.StringIO("a\tb\theavy\n"))
+
+    def test_zero_weight_rejected(self):
+        with pytest.raises(GraphFormatError, match="edge 'a'--'b' has weight 0.0"):
+            parse_graph(io.StringIO("a\tb\t0.000000000000\nb\tc\t1.000000000000\n"))
 
     def test_duplicate_edges_rejected(self):
         text = "a\tb\t0.5\nb\ta\t0.5\n"
