@@ -157,14 +157,6 @@ def _observed_arrays(
     return idx, val
 
 
-def _target_indices(graph: ItemGraph, targets: Iterable[str]) -> list[str]:
-    names = [str(t) for t in targets]
-    for t in names:
-        if t not in graph.item_index:
-            raise ValueError(f"target item {t!r} is not in the graph")
-    return names
-
-
 def _assemble(
     graph: ItemGraph,
     observed: dict[str, float],
@@ -176,10 +168,12 @@ def _assemble(
 ) -> UserRecovery:
     estimates: dict[str, float] = dict(observed)
     abstain: set[str] = set()
-    for name in _target_indices(graph, targets):
+    for name in map(str, targets):
+        i = graph.item_index.get(name)
+        if i is None:
+            raise ValueError(f"target item {name!r} is not in the graph")
         if name in observed:
             continue
-        i = graph.item_index[name]
         if solved[i]:
             estimates[name] = float(values[i])
         else:

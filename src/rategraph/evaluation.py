@@ -58,24 +58,25 @@ def classify_bound(
     set never changes a record's class.
     """
     user = train.user_index.get(test_record.user_id)
-    return _classify(test_record, None if user is None else train.user_ratings(user), train, graph)
+    rated = {} if user is None else train.user_ratings(user)
+    return _classify(test_record, _on_graph(rated, train, graph), graph)
 
 
-def _classify(
-    test_record: RatingRecord,
-    rated: Optional[dict[int, float]],
-    train: RatingMatrix,
-    graph: ItemGraph,
-) -> BoundClass:
-    """:func:`classify_bound` given the user's training map, None for a user without training ratings."""
+def _on_graph(rated: dict[int, float], train: RatingMatrix, graph: ItemGraph) -> dict[int, float]:
+    """A user's training map keyed by graph index, in record order, without the items off the graph.
+
+    The one place where the rating matrix's item numbering meets the graph's.
+    """
+    pairs = ((graph.item_index.get(train.items[i]), r) for i, r in rated.items())
+    return {g: r for g, r in pairs if g is not None}
+
+
+def _classify(test_record: RatingRecord, on_graph: dict[int, float], graph: ItemGraph) -> BoundClass:
+    """:func:`classify_bound` given the user's :func:`_on_graph` map, empty for a user without training ratings."""
     if test_record.item_id not in graph.item_index:
         raise UnknownItemError(test_record.item_id)
-    if rated is None:
-        return BoundClass.UNCLASSIFIABLE
     neigh, _ = graph.neighbors(graph.item_index[test_record.item_id])
-    # graph and train keep independent item index spaces; map through names
-    train_items = map(train.item_index.get, map(graph.items.__getitem__, neigh.tolist()))
-    neighbor_ratings = [rated[ti] for ti in train_items if ti in rated]
+    neighbor_ratings = [on_graph[j] for j in neigh.tolist() if j in on_graph]
     if not neighbor_ratings:
         return BoundClass.UNCLASSIFIABLE
     if test_record.rating > max(neighbor_ratings):
@@ -205,16 +206,17 @@ class _EvalContext:
         graph, train = self.graph, self.train
         user_id, records = self.users[user_pos]
         user = train.user_index.get(user_id)
-        rated = None if user is None else train.user_ratings(user)
+        rated = {} if user is None else train.user_ratings(user)
+        on_graph = _on_graph(rated, train, graph)
         result = _UserResult(user_id)
         for rec in records:
             try:
-                result.records.append((rec, _classify(rec, rated, train, graph)))
+                result.records.append((rec, _classify(rec, on_graph, graph)))
             except UnknownItemError:
                 result.n_unknown += 1
         if not rated:
             return result, {}, self.global_mean
-        observed = {train.items[i]: r for i, r in rated.items() if train.items[i] in graph.item_index}
+        observed = {graph.items[g]: r for g, r in on_graph.items()}
         return result, observed, float(np.mean(list(rated.values())))
 
     def run_block(self, positions: Sequence[int]) -> list[_UserResult]:
@@ -460,24 +462,17 @@ def examine_linearity(
 
     n = graph.item_count
     for user in range(ratings.n_users):
-        rated = ratings.user_ratings(user)
+        on_graph = _on_graph(ratings.user_ratings(user), ratings, graph)
+        if not on_graph:
+            continue
         ind = np.zeros(n)
         vals = np.zeros(n)
-        item_ids: list[int] = []
-        for item_idx, r in rated.items():
-            name = ratings.items[item_idx]
-            g = graph.item_index.get(name)
-            if g is None:
-                continue
-            ind[g] = 1.0
-            vals[g] = r
-            item_ids.append(g)
-        if not item_ids:
-            continue
+        ind[list(on_graph)] = 1.0
+        vals[list(on_graph)] = list(on_graph.values())
         rated_neighbor_cnt = binary @ ind
         weight_sum = w @ ind
         rating_sum = w @ vals
-        for g in item_ids:
+        for g in on_graph:
             m = rated_neighbor_cnt[g]
             total = neighbor_count[g]
             if total == 0 or m < min_neighbor_ratings or m < coverage * total:

@@ -253,10 +253,6 @@ class SecondDerivativeField:
         vals = np.where(self.defined, self.values, 0.0)
         return np.flatnonzero(np.abs(vals) > self.source_tolerance)
 
-    @property
-    def source_count(self) -> int:
-        return int(self.sources().size)
-
 
 def pearson_similarity(
     ratings_i: dict[str, float],

@@ -117,6 +117,14 @@ class TestObservedArrays:
         assert val.tolist() == want[1].tolist()
 
 
+class TestUnknownTarget:
+    @pytest.mark.parametrize("predict", [predict_knn, predict_hcp, predict_sfr])
+    def test_first_missing_target_named(self, ladder, predict):
+        config = (SolverConfig(bounds=ladder.bounds),) if predict is predict_sfr else ()
+        with pytest.raises(ValueError, match=r"^target item 'nope' is not in the graph$"):
+            predict(ladder.graph, ladder.observed, ["v1", "nope", "gone", "v26"], *config)
+
+
 class TestPredictKnn:
     def test_square_estimates(self, square):
         rec = predict_knn(square.graph, square.observed, {"B", "D"})

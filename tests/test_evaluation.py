@@ -13,6 +13,8 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rategraph import (
     BoundClass,
@@ -100,6 +102,60 @@ class TestClassifyBound:
         forward = [classify_bound(r, train, graph) for r in records]
         backward = [classify_bound(r, train, graph) for r in reversed(records)]
         assert forward == backward[::-1]
+
+
+def _reference_classify(test_record, train, graph):
+    """classify_bound as it read the neighbour ratings before the graph-keyed map: each neighbour's
+    graph index goes through its name to the training matrix's index."""
+    if test_record.item_id not in graph.item_index:
+        raise UnknownItemError(test_record.item_id)
+    user = train.user_index.get(test_record.user_id)
+    if user is None:
+        return BoundClass.UNCLASSIFIABLE
+    rated = train.user_ratings(user)
+    neigh, _ = graph.neighbors(graph.item_index[test_record.item_id])
+    train_items = map(train.item_index.get, map(graph.items.__getitem__, neigh.tolist()))
+    neighbor_ratings = [rated[ti] for ti in train_items if ti in rated]
+    if not neighbor_ratings:
+        return BoundClass.UNCLASSIFIABLE
+    if test_record.rating > max(neighbor_ratings):
+        return BoundClass.HIGHER
+    if test_record.rating < min(neighbor_ratings):
+        return BoundClass.LOWER
+    return BoundClass.NEITHER
+
+
+class TestClassifyMatchesReference:
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_same_class_or_error(self, seed):
+        # the graph lists its items in a shuffled order and the training matrix in the order of its
+        # shuffled rows, which also rate two items off the graph; integer ratings tie with a
+        # neighbour's max or min, isolated items and sparse users leave neighbourhoods unrated, and
+        # "u2" may and "ghost" does have no training ratings
+        rng = np.random.default_rng(seed)
+        names = [f"g{k}" for k in range(int(rng.integers(1, 9)))]
+        edges = [(a, b, float(rng.uniform(0.2, 1.0))) for k, a in enumerate(names) for b in names[k + 1:]
+                 if rng.uniform() < 0.4]
+        graph = ItemGraph.from_edges([names[k] for k in rng.permutation(len(names))], edges)
+        rows = [
+            (f"u{u}", name, float(rng.integers(1, 6)))
+            for u in range(3) for name in names + ["off0", "off1"]
+            if (u, name) == (0, "off0") or rng.uniform() < 0.5
+        ]
+        train = _train([rows[k] for k in rng.permutation(len(rows))])
+        for user in ("u0", "u1", "u2", "ghost"):
+            for item in names + ["off0", "nowhere"]:
+                for rating in range(7):
+                    rec = RatingRecord(user, item, float(rating))
+                    try:
+                        want = _reference_classify(rec, train, graph)
+                    except UnknownItemError as exc:
+                        with pytest.raises(UnknownItemError) as got:
+                            classify_bound(rec, train, graph)
+                        assert got.value.args == exc.args
+                        continue
+                    assert classify_bound(rec, train, graph) is want
 
 
 def _toy_ladder_split(mirrored_user=False):
@@ -307,6 +363,36 @@ class TestEvaluate:
         evaluate(["knn", "sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0)))
         index = split.train.user_index
         assert sorted(calls) == sorted(index[user] for user in {rec.user_id for rec in split.test})
+
+    def test_training_item_off_the_graph_is_left_out(self, ring_panel, monkeypatch):
+        # the training matrix numbers the extra item first, so no other item keeps its graph index
+        split, graph = ring_panel
+        train = split.train
+        # records with a rated neighbour: knn falls back on the others, and a fallback reads the user's mean
+        test = [rec for rec in split.test if classify_bound(rec, train, graph) is not BoundClass.UNCLASSIFIABLE]
+        rows = [(user, "off", 5.0) for user in sorted({rec.user_id for rec in test})]
+        rows += [(rec.user_id, rec.item_id, rec.rating) for rec in train.records()]
+        with_off = Split(RatingMatrix.from_ids(train.bounds, *zip(*rows)), test, split.fraction, split.seed)
+        assert "off" not in graph.item_index and with_off.train.item_index["off"] == 0
+        observed = []
+        real_knn = evaluation.predict_knn
+
+        def recording_knn(g, obs, targets):
+            observed.append(obs)
+            return real_knn(g, obs, targets)
+
+        monkeypatch.setattr(evaluation, "predict_knn", recording_knn)
+        cfg = SolverConfig(bounds=(1.0, 5.0))
+        dumps = []
+        for s in (Split(train, test, split.fraction, split.seed), with_off):
+            out = io.StringIO()
+            report = evaluate(["knn", "hcp", "sfr"], s, graph, cfg, predictions_out=out)
+            assert report.fallback_counts == {"knn": 0, "hcp": 0, "sfr": 0}
+            assert report.rmse_counts["sfr"]["all"] > 0
+            dumps.append(out.getvalue())
+        assert dumps[0] == dumps[1]
+        assert len(observed) == 2 * len({rec.user_id for rec in test})
+        assert all("off" not in obs for obs in observed)
 
     def test_budget_exhaustion_lowers_converged_fraction(self):
         split, fix = _toy_ladder_split(mirrored_user=True)
