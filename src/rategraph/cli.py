@@ -221,10 +221,8 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
         rec = predict_knn(graph, fix.observed, targets)
     elif method == "hcp":
         rec = predict_hcp(graph, fix.observed, targets)
-    elif method == "sfr":
-        rec = predict_sfr(graph, fix.observed, targets, solver)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        rec = predict_sfr(graph, fix.observed, targets, solver)
 
     full = np.full(graph.item_count, np.nan)
     for name, val in rec.estimates.items():
@@ -287,10 +285,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             status = cmd_predict(cfg)
         elif args.command == "examine":
             status = cmd_examine(cfg)
-        elif args.command == "toy":
-            status = cmd_toy(cfg, args.which, args.method)
         else:
-            raise ValueError(f"unknown command {args.command!r}")
+            status = cmd_toy(cfg, args.which, args.method)
         # a reader that closed stdout fails the flush here rather than at exit
         sys.stdout.flush()
         return status

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations, repeat
+from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -90,14 +90,12 @@ class SolverConfig:
             raise ValueError("bounds must satisfy c_l < c_h")
         if not 0 < self.p < 1:
             raise ValueError("p must lie strictly between 0 and 1")
-        if self.smoothing_eps <= 0:
-            raise ValueError("smoothing_eps must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
-        if self.objective_rel_tol <= 0:
-            raise ValueError("objective_rel_tol must be positive")
-        if self.source_tolerance <= 0:
-            raise ValueError("source_tolerance must be positive")
+        # each check is `not <range>`, so NaN, which fails every comparison, is rejected too
+        if not 1 <= self.max_iterations < math.inf:
+            raise ValueError("max_iterations must be positive and finite")
+        for name in ("smoothing_eps", "objective_rel_tol", "source_tolerance"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
 
 
 @dataclass
@@ -134,27 +132,25 @@ def _observed_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Graph indices of the observed items in ascending order, and their ratings.
 
-    The first error raised is for an item missing from the graph (in the
-    map's order), else for the lowest-index item whose rating is not finite
+    The items are checked in that order, an item missing from the graph
+    sorting first (in the map's order): the first error raised is for a
+    missing item, else for the lowest-index item whose rating is not finite
     or lies outside ``bounds``.
     """
-    names = list(observed)
-    idx = np.fromiter(map(graph.item_index.get, names, repeat(-1)), dtype=np.int64, count=len(names))
-    order = np.argsort(idx)
-    idx = idx[order]
-    val = np.fromiter(observed.values(), dtype=np.float64, count=len(names))[order]
+    index = graph.item_index
     lo, hi = bounds if bounds is not None else (-math.inf, math.inf)
-    if idx.size and not (idx[0] >= 0 and np.isfinite(val).all() and lo <= val.min() and val.max() <= hi):
-        for name in names:
-            if name not in graph.item_index:
-                raise ValueError(f"observed item {name!r} is not in the graph")
-        for name in map(names.__getitem__, order.tolist()):
-            rating = observed[name]
-            if not math.isfinite(rating):
-                raise ValueError(f"observed rating for {name!r} is not finite")
-            if not (lo <= rating <= hi):
-                raise ValueError(f"observed rating {rating} for {name!r} outside [{lo}, {hi}]")
-    return idx, val
+    idx, val = [], []
+    for name, rating in sorted(observed.items(), key=lambda kv: index.get(kv[0], -1)):
+        i = index.get(name)
+        if i is None:
+            raise ValueError(f"observed item {name!r} is not in the graph")
+        if not math.isfinite(rating):
+            raise ValueError(f"observed rating for {name!r} is not finite")
+        if not (lo <= rating <= hi):
+            raise ValueError(f"observed rating {rating} for {name!r} outside [{lo}, {hi}]")
+        idx.append(i)
+        val.append(rating)
+    return np.array(idx, dtype=np.int64), np.array(val, dtype=np.float64)
 
 
 def _assemble(
@@ -162,7 +158,6 @@ def _assemble(
     observed: dict[str, float],
     targets: Iterable[str],
     values: np.ndarray,
-    solved: np.ndarray,
     method: str,
     diagnostics: Optional[SolverDiagnostics] = None,
 ) -> UserRecovery:
@@ -174,10 +169,10 @@ def _assemble(
             raise ValueError(f"target item {name!r} is not in the graph")
         if name in observed:
             continue
-        if solved[i]:
-            estimates[name] = float(values[i])
-        else:
+        if math.isnan(values[i]):
             abstain.add(name)
+        else:
+            estimates[name] = float(values[i])
     return UserRecovery(
         observed=dict(observed),
         estimates=estimates,
@@ -204,13 +199,13 @@ def _harmonic_extend(
     graph: ItemGraph,
     obs_idx: np.ndarray,
     obs_val: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve grad2 R = 0 on unobserved items, observed entries fixed.
 
-    Returns (values, solved): NaN outside the solved set, which is the
-    observed items plus every positive-degree item whose component contains
-    at least one observation. The free values solve the symmetric positive
-    definite system (D - W) x = W x_O restricted to that free set, by
+    Returns the values and :func:`_reachable`'s masks (reach, free). The
+    values are NaN outside the solved set, which is the observed items plus
+    the reachable ones. The free values solve the symmetric positive
+    definite system (D - W) x = W x_O restricted to the free set, by
     conjugate gradients with the degrees as Jacobi preconditioner. The
     iteration runs on full-length vectors with the free set as a mask, so
     each step costs one product with the adjacency matrix. It stops once
@@ -221,13 +216,8 @@ def _harmonic_extend(
     """
     n = graph.item_count
     values = np.full(n, np.nan)
-    solved = np.zeros(n, dtype=bool)
-    if obs_idx.size == 0:
-        return values, solved
     values[obs_idx] = obs_val
-    solved[obs_idx] = True
-
-    free = _reachable(graph, obs_idx)[1]
+    reach, free = _reachable(graph, obs_idx)
     free_idx = np.flatnonzero(free)
     if free_idx.size:
         w, d = graph.adjacency, graph.degree
@@ -259,7 +249,6 @@ def _harmonic_extend(
             z = r * inv_d
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
-        solved[free_idx] = True
 
         # maximum principle: estimates stay inside the observed range of
         # their component; clip away solver round-off so the property is exact
@@ -271,7 +260,7 @@ def _harmonic_extend(
         values[free_idx] = np.clip(
             x[free_idx], comp_min[labels[free_idx]], comp_max[labels[free_idx]]
         )
-    return values, solved
+    return values, reach, free
 
 
 # -- kNN and HCP ------------------------------------------------------------------
@@ -295,10 +284,10 @@ def predict_knn(
     w = graph.adjacency
     weight_sum = w @ ind
     rating_sum = w @ vals
-    solved = weight_sum > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        est = np.where(solved, rating_sum / np.where(solved, weight_sum, 1.0), np.nan)
-    return _assemble(graph, observed, targets, est, solved, "knn")
+    # the weights are positive, so both sums are exactly 0.0 where no neighbour is observed, and only there
+    with np.errstate(invalid="ignore"):
+        est = rating_sum / weight_sum
+    return _assemble(graph, observed, targets, est, "knn")
 
 
 def predict_hcp(
@@ -312,8 +301,8 @@ def predict_hcp(
     components with no observation and on degree-0 items.
     """
     obs_idx, obs_val = _observed_arrays(graph, observed)
-    values, solved = _harmonic_extend(graph, obs_idx, obs_val)
-    return _assemble(graph, observed, targets, values, solved, "hcp")
+    values = _harmonic_extend(graph, obs_idx, obs_val)[0]
+    return _assemble(graph, observed, targets, values, "hcp")
 
 
 # -- smoothed l_p objective --------------------------------------------------------
@@ -442,8 +431,8 @@ class _SfrStart:
 
 def _sfr_start(graph: ItemGraph, observed: dict[str, float], config: SolverConfig) -> _SfrStart:
     obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)
-    warm, solved = _harmonic_extend(graph, obs_idx, obs_val)
-    reach, free = _reachable(graph, obs_idx)
+    warm, reach, free = _harmonic_extend(graph, obs_idx, obs_val)
+    solved = ~np.isnan(warm)
     return _SfrStart(np.where(solved, warm, 0.0), solved, np.flatnonzero(free), np.flatnonzero(reach))
 
 
@@ -673,7 +662,7 @@ def predict_sfr(
         source_count=source_count,
         converged=converged,
     )
-    return _assemble(graph, observed, targets, values, start.solved, "sfr", diag)
+    return _assemble(graph, observed, targets, values, "sfr", diag)
 
 
 # -- exhaustive minimal-source oracle ----------------------------------------------

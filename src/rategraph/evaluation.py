@@ -296,6 +296,10 @@ def evaluate(
     for m in methods:
         if m not in ("knn", "hcp", "sfr"):
             raise ValueError(f"unknown method {m!r}")
+        if methods.count(m) > 1:
+            raise ValueError(f"method {m!r} is listed twice")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     train = split.train
 
     # each test user's records, in user order; _EvalContext._inputs classifies them
@@ -307,7 +311,7 @@ def evaluate(
 
     ctx = _EvalContext(graph, train, users, tuple(methods), config, global_mean)
     # with jobs > 1, blocks small enough that every worker gets one
-    size = max(1, min(_BLOCK_USERS, ceil(len(users) / max(1, jobs))))
+    size = max(1, min(_BLOCK_USERS, ceil(len(users) / jobs)))
     blocks = [range(start, min(start + size, len(users))) for start in range(0, len(users), size)]
     if jobs > 1 and len(users) > 1:
         # here, so jobs=1 never loads multiprocessing

@@ -174,6 +174,23 @@ class TestEvaluateCommand:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
         assert (out1 / "rmse.tsv").read_bytes() == (out2 / "rmse.tsv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [
+            (("--smoothing-eps", "nan"), "smoothing_eps must be positive and finite"),
+            (("--smoothing-eps", "inf"), "smoothing_eps must be positive and finite"),
+            (("--source-tolerance", "nan"), "source_tolerance must be positive and finite"),
+            (("--jobs", "0"), "jobs must be at least 1, got 0"),
+            (("--jobs", "-3"), "jobs must be at least 1, got -3"),
+        ],
+        ids=["eps-nan", "eps-inf", "tolerance-nan", "jobs-0", "jobs-negative"],
+    )
+    def test_bad_setting_fails_labelled(self, tmp_path, capsys, flag, message):
+        out = tmp_path / "out"
+        code, stdout, err = _run(capsys, "evaluate", "--toy", "ladder26", *flag, "--output-dir", str(out))
+        assert (code, stdout, err) == (1, "", f"evaluate: error: {message}\n")
+        assert not out.exists()
+
 
 class TestSolverFailure:
     """A solver failure exits 1 with one stage-labelled line that names the user and the estimator."""

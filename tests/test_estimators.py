@@ -1150,6 +1150,15 @@ class TestSolverConfig:
             {"objective_rel_tol": 0.0},
             {"source_tolerance": 0.0},
             {"bounds": (5, 1)},
+            # NaN fails every comparison, so a check written as `value <= 0` lets it through
+            {"smoothing_eps": math.nan},
+            {"smoothing_eps": math.inf},
+            {"max_iterations": math.nan},
+            {"max_iterations": math.inf},
+            {"objective_rel_tol": math.nan},
+            {"objective_rel_tol": math.inf},
+            {"source_tolerance": math.nan},
+            {"source_tolerance": math.inf},
         ],
     )
     def test_validation(self, kwargs):

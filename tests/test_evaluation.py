@@ -414,8 +414,10 @@ class TestEvaluate:
 
     def test_unknown_method_rejected(self):
         split, fix = _toy_ladder_split()
-        with pytest.raises(ValueError, match="method"):
-            evaluate(["svd"], split, fix.graph, SolverConfig(bounds=fix.bounds))
+        # a method listed twice would count each of its records twice
+        for methods in (["svd"], ["knn", "knn"]):
+            with pytest.raises(ValueError, match="method"):
+                evaluate(methods, split, fix.graph, SolverConfig(bounds=fix.bounds))
 
 
 @pytest.fixture(scope="module")
