@@ -195,7 +195,6 @@ def cmd_predict(cfg: ExperimentConfig) -> int:
     graph = build_item_graph(split.train, cfg.threshold, cfg.min_support)
     methods = cfg.method_list()
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dump = io.StringIO()
     eval_mod.evaluate(methods, split, graph, cfg.solver_config(), jobs=cfg.jobs, predictions_out=dump)
     _write(out_dir / "predictions.csv", dump.getvalue())
@@ -238,7 +237,7 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
         obs = "yes" if name in fix.observed else "-"
         est = rec.estimates.get(name)
         e = f"{est:.2f}" if est is not None else "?"
-        g2 = f"{field.values[i]:.3f}" if field is not None and field.defined[i] else "-"
+        g2 = f"{field.values[i]:.3f}" if field is not None and not np.isnan(field.values[i]) else "-"
         flag = "*" if i in src else "-"
         print(f"{name:<6}{t:>8}{obs:>10}{e:>10}{g2:>10}  {flag}")
     if rec.abstentions:

@@ -429,7 +429,6 @@ class ToyFixture:
     observed: dict[str, float]
     bounds: tuple[float, float]
     ground_truth: Optional[dict[str, float]]
-    notes: str
 
 
 def square_toy() -> ToyFixture:
@@ -448,10 +447,6 @@ def square_toy() -> ToyFixture:
         observed={"A": 5.0, "C": 3.0},
         bounds=(1.0, 9.0),
         ground_truth=None,
-        notes=(
-            "4-cycle demo of the rating bound problem; multiple minimal-source "
-            "completions exist, so no single ground truth is designated."
-        ),
     )
 
 
@@ -500,8 +495,4 @@ def ladder_toy_26() -> ToyFixture:
         observed=observed,
         bounds=(1.0, 9.0),
         ground_truth=ground_truth,
-        notes=(
-            "26-item ladder; sources only at v1 and v26, both outside the "
-            "observed rating range [4, 7]."
-        ),
     )

@@ -108,14 +108,13 @@ class SolverDiagnostics:
 
 @dataclass
 class UserRecovery:
-    """One user's observed constraints plus the recovered estimates.
+    """One user's recovered estimates, observed items included.
 
     ``estimates`` always carries the observed items at their observed values
     exactly (the hard constraint); ``abstentions`` are requested items no
     estimate exists for. Every requested target is in one or the other.
     """
 
-    observed: dict[str, float]
     estimates: dict[str, float]
     abstentions: frozenset[str]
     method: str
@@ -174,7 +173,6 @@ def _assemble(
         else:
             estimates[name] = float(values[i])
     return UserRecovery(
-        observed=dict(observed),
         estimates=estimates,
         abstentions=frozenset(abstain),
         method=method,
@@ -400,8 +398,6 @@ def sfr_gradient(
 
 
 def _eps_schedule(eps_final: float) -> list[float]:
-    if eps_final >= _EPS_START:
-        return [eps_final]
     out = []
     eps = _EPS_START
     while eps > eps_final * (1 + 1e-12):
@@ -722,12 +718,11 @@ def l0_oracle(
         )
 
     free_idx = np.flatnonzero(free)
-    eq_rows = candidates  # second derivative is defined exactly on active rows
+    eq_rows = candidates  # second derivative is defined exactly on active rows; row s is candidate s
     op = graph.second_difference_operators()[0]
     m_dense = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n)).toarray()
     a_full = m_dense[np.ix_(eq_rows, free_idx)]
     rhs_full = -m_dense[np.ix_(eq_rows, obs_idx)] @ obs_val
-    row_pos = {int(r): k for k, r in enumerate(eq_rows)}
     c_l, c_h = bounds
     slack = 1e-9
 
@@ -735,8 +730,7 @@ def l0_oracle(
         found: list[OracleSolution] = []
         for subset in combinations(range(candidates.size), k):
             keep = np.ones(eq_rows.size, dtype=bool)
-            for s in subset:
-                keep[row_pos[int(candidates[s])]] = False
+            keep[list(subset)] = False
             a = a_full[keep]
             rhs = rhs_full[keep]
             if free_idx.size:

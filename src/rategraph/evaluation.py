@@ -99,7 +99,7 @@ class EvaluationReport:
     classified test examples, so the four classes sum to the total exactly.
 
     ``truth_rows`` holds one ``(method, bound_class, truth, count, rmse)``
-    tuple per row of ``rmse.tsv``, ``truth`` None for the "all" group; a
+    tuple per row of ``rmse.tsv``, ``truth`` the row's key string; a
     tuple is a fraction of the size of the dict :attr:`rmse_by_truth` builds
     from it, and tent-ring ratings make one row per bound record.
     """
@@ -115,13 +115,13 @@ class EvaluationReport:
     error_contribution_total: Optional[float]
     fallback_counts: dict[str, int]
     solver_stats: dict[str, dict[str, float]]
-    truth_rows: list[tuple[str, str, Optional[float], int, Optional[float]]] = field(default_factory=list)
+    truth_rows: list[tuple[str, str, str, int, Optional[float]]] = field(default_factory=list)
 
     @property
     def rmse_by_truth(self) -> list[dict[str, object]]:
         """The rows of ``rmse.tsv`` as dicts, built from ``truth_rows`` on each read."""
         return [
-            {"method": m, "bound_class": cls, "truth_rating": _truth_key(truth), "count": count, "rmse": rmse}
+            {"method": m, "bound_class": cls, "truth_rating": truth, "count": count, "rmse": rmse}
             for m, cls, truth, count, rmse in self.truth_rows
         ]
 
@@ -135,13 +135,8 @@ class EvaluationReport:
         lines = ["method\tbound_class\ttruth_rating\tcount\trmse"]
         for m, cls, truth, count, rmse in self.truth_rows:
             rendered = "" if rmse is None else repr(rmse)
-            lines.append(f"{m}\t{cls}\t{_truth_key(truth)}\t{count}\t{rendered}")
+            lines.append(f"{m}\t{cls}\t{truth}\t{count}\t{rendered}")
         return "\n".join(lines) + "\n"
-
-
-def _truth_key(truth: Optional[float]) -> str:
-    """A truth rating as its report key: six significant digits, or "all"."""
-    return "all" if truth is None else format(truth, "g")
 
 
 def _rmse(residuals: list[float]) -> Optional[float]:
@@ -351,7 +346,7 @@ def evaluate(
                 if method == "knn":
                     knn_sq[cls.value] += residual * residual
                 if cls in _BOUND:
-                    truth_key = _truth_key(rec.rating)
+                    truth_key = format(rec.rating, "g")
                     by_truth.setdefault((method, cls.value, truth_key), []).append(residual)
                     by_truth.setdefault((method, cls.value, "all"), []).append(residual)
                     by_truth.setdefault((method, "all", "all"), []).append(residual)
@@ -364,10 +359,9 @@ def evaluate(
     groups = ("all", BoundClass.HIGHER.value, BoundClass.LOWER.value)
     rmse = {m: {k: _rmse(by_truth.get((m, k, "all"), [])) for k in groups} for m in methods}
     rmse_counts = {m: {k: len(by_truth.get((m, k, "all"), [])) for k in groups} for m in methods}
-    # rows sort by the key strings, so "10" lists before "9.5"; a key parses
-    # back to a float that formats to the same key
+    # rows sort by the key strings, so "10" lists before "9.5"
     truth_rows = [
-        (m, cls, None if truth == "all" else float(truth), len(res), _rmse(res))
+        (m, cls, truth, len(res), _rmse(res))
         for (m, cls, truth), res in sorted(by_truth.items())
     ]
     solver_stats: dict[str, dict[str, float]] = {}

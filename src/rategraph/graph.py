@@ -246,11 +246,10 @@ class SecondDerivativeField:
     """
 
     values: np.ndarray
-    defined: np.ndarray
     source_tolerance: float = 1e-3
 
     def sources(self) -> np.ndarray:
-        vals = np.where(self.defined, self.values, 0.0)
+        vals = np.nan_to_num(self.values)
         return np.flatnonzero(np.abs(vals) > self.source_tolerance)
 
 
@@ -415,8 +414,7 @@ def second_derivative(
     """
     safe, _ = _defined_values(graph, values)
     out = _apply(graph.second_difference_operators()[0], safe)
-    defined = graph.degree > 0
-    return SecondDerivativeField(np.where(defined, out, np.nan), defined, source_tolerance)
+    return SecondDerivativeField(np.where(graph.degree > 0, out, np.nan), source_tolerance)
 
 
 # -- edge-list TSV serialization ----------------------------------------------

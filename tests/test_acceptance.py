@@ -141,7 +141,7 @@ class TestCriterion4LadderOracle:
 
 def _smoothed_sum(graph, values, config):
     f = second_derivative(graph, values)
-    s = f.values[f.defined]
+    s = f.values[~np.isnan(f.values)]
     eps, p = config.smoothing_eps, config.p
     return float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p))
 
@@ -231,7 +231,7 @@ class TestCriterion6BoundInvariants:
                 warm[g.item_index[name]] = val
             solved = np.isfinite(warm)
             warm_field = second_derivative(g, np.where(solved, warm, 0.0))
-            mask = solved & warm_field.defined
+            mask = solved & (g.degree > 0)
             s = warm_field.values[mask]
             eps, p = cfg.smoothing_eps, cfg.p
             warm_obj = float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p)) ** (1 / p)

@@ -243,6 +243,15 @@ class TestPredictCommand:
             assert method in ("knn", "hcp")
             assert is_fb in ("0", "1")
 
+    def test_bad_setting_writes_nothing(self, tmp_path, capsys, small_dataset):
+        out = tmp_path / "out"
+        code, stdout, err = _run(
+            capsys, "predict", "--dataset", str(small_dataset), "--format", "csv",
+            "--threshold", "0.2", "--jobs", "0", "--output-dir", str(out),
+        )
+        assert (code, stdout, err) == (1, "", "predict: error: jobs must be at least 1, got 0\n")
+        assert not out.exists()
+
 
 class TestExamineCommand:
     def test_flat_user_single_zero_bin(self, tmp_path, capsys):

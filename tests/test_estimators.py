@@ -33,7 +33,7 @@ from tests.conftest import random_connected_graph, random_observed
 def smoothed_sum(graph, values, config):
     """Independent evaluation of the objective the gradient differentiates."""
     field = second_derivative(graph, values)
-    s = field.values[field.defined]
+    s = field.values[~np.isnan(field.values)]
     eps, p = config.smoothing_eps, config.p
     return float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p))
 
@@ -627,6 +627,24 @@ def _objective(op, vec, rows, cfg):
     """The smoothed sum at ``vec`` over ``rows``, as the descent evaluates it."""
     eps = cfg.smoothing_eps
     return estimators._smoothed_sums(op, vec[:, None], eps * eps, eps**cfg.p, cfg.p, [rows])[2][0]
+
+
+class TestEpsSchedule:
+    """The smoothing continuation steps tenfold from one rating unit down to ``smoothing_eps``."""
+
+    @pytest.mark.parametrize(
+        "eps, stages",
+        [
+            (1.0, [1.0]),
+            (2.5, [2.5]),
+            (SolverConfig(bounds=(1.0, 5.0)).smoothing_eps, [1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
+        ],
+        ids=["one", "above-one", "default"],
+    )
+    def test_stages(self, eps, stages):
+        got = estimators._eps_schedule(eps)
+        assert got == pytest.approx(stages, rel=1e-12)
+        assert got[-1] == eps
 
 
 class TestSpgStage:
