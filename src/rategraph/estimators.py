@@ -28,7 +28,6 @@ from itertools import combinations
 from typing import Iterable, Optional
 
 import numpy as np
-from scipy import sparse
 
 # np.clip is a Python wrapper around this ufunc and costs about three times
 # as much on a vector of a few dozen items; numpy 2 moved it to numpy._core
@@ -90,9 +89,12 @@ class SolverConfig:
             raise ValueError("bounds must satisfy c_l < c_h")
         if not 0 < self.p < 1:
             raise ValueError("p must lie strictly between 0 and 1")
+        # a float budget would be shared out in fractions, and a bool is not a count
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, (int, np.integer)):
+            raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be positive")
         # each check is `not <range>`, so NaN, which fails every comparison, is rejected too
-        if not 1 <= self.max_iterations < math.inf:
-            raise ValueError("max_iterations must be positive and finite")
         for name in ("smoothing_eps", "objective_rel_tol", "source_tolerance"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
@@ -218,8 +220,7 @@ def _harmonic_extend(
     reach, free = _reachable(graph, obs_idx)
     free_idx = np.flatnonzero(free)
     if free_idx.size:
-        w, d = graph.adjacency, graph.degree
-        w_op = CsrArrays(w.indptr, w.indices, w.data)
+        w_op, d = graph.adjacency_arrays(), graph.degree
         mask = free.astype(np.float64)
         inv_d = np.zeros(n)
         inv_d[free_idx] = 1.0 / d[free_idx]
@@ -279,9 +280,9 @@ def predict_knn(
     vals = np.zeros(n)
     ind[obs_idx] = 1.0
     vals[obs_idx] = obs_val
-    w = graph.adjacency
-    weight_sum = w @ ind
-    rating_sum = w @ vals
+    w = graph.adjacency_arrays()
+    weight_sum = _apply(w, ind)
+    rating_sum = _apply(w, vals)
     # the weights are positive, so both sums are exactly 0.0 where no neighbour is observed, and only there
     with np.errstate(invalid="ignore"):
         est = rating_sum / weight_sum
@@ -720,7 +721,9 @@ def l0_oracle(
     free_idx = np.flatnonzero(free)
     eq_rows = candidates  # second derivative is defined exactly on active rows; row s is candidate s
     op = graph.second_difference_operators()[0]
-    m_dense = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n)).toarray()
+    # each entry of P - I is stored once, so setting it equals toarray's sum of it from 0
+    m_dense = np.zeros((n, n))
+    m_dense[np.repeat(np.arange(n), np.diff(op.indptr)), op.indices] = op.data
     a_full = m_dense[np.ix_(eq_rows, free_idx)]
     rhs_full = -m_dense[np.ix_(eq_rows, obs_idx)] @ obs_val
     c_l, c_h = bounds

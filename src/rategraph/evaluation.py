@@ -21,7 +21,7 @@ import numpy as np
 from .data import RatingMatrix, RatingRecord, Split
 from .estimators import ConvergenceError, SolverConfig, SolverDiagnostics, _sfr_start, _spg_block
 from .estimators import predict_hcp, predict_knn, predict_sfr
-from .graph import ItemGraph
+from .graph import CsrArrays, ItemGraph, _apply
 
 __all__ = [
     "BoundClass",
@@ -288,11 +288,15 @@ def evaluate(
     When ``predictions_out`` is given, every prediction is dumped as
     ``user,item,estimate,method,is_fallback`` lines.
     """
+    if not methods:
+        raise ValueError("no method given (choose from knn, hcp and sfr)")
     for m in methods:
         if m not in ("knn", "hcp", "sfr"):
             raise ValueError(f"unknown method {m!r}")
         if methods.count(m) > 1:
             raise ValueError(f"method {m!r} is listed twice")
+    if isinstance(jobs, bool) or not isinstance(jobs, (int, np.integer)):
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     train = split.train
@@ -453,10 +457,9 @@ def examine_linearity(
     edges = np.arange(-_BIN_SPAN - _BIN_WIDTH / 2, _BIN_SPAN + _BIN_WIDTH, _BIN_WIDTH)
     counts = np.zeros(edges.size + 1, dtype=np.int64)
 
-    w = graph.adjacency
-    binary = w.copy()
-    binary.data = np.ones_like(binary.data)
-    neighbor_count = np.asarray(binary.sum(axis=1)).ravel()
+    w = graph.adjacency_arrays()
+    neighbor_count = np.diff(w.indptr)
+    ones = CsrArrays(w.indptr, w.indices, np.ones(w.data.size))
 
     n = graph.item_count
     for user in range(ratings.n_users):
@@ -467,9 +470,9 @@ def examine_linearity(
         vals = np.zeros(n)
         ind[list(on_graph)] = 1.0
         vals[list(on_graph)] = list(on_graph.values())
-        rated_neighbor_cnt = binary @ ind
-        weight_sum = w @ ind
-        rating_sum = w @ vals
+        rated_neighbor_cnt = _apply(ones, ind)
+        weight_sum = _apply(w, ind)
+        rating_sum = _apply(w, vals)
         for g in on_graph:
             m = rated_neighbor_cnt[g]
             total = neighbor_count[g]

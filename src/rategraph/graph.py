@@ -132,6 +132,10 @@ class ItemGraph:
     def adjacency(self) -> sparse.csr_matrix:
         return self._w
 
+    def adjacency_arrays(self) -> CsrArrays:
+        """W's own CSR arrays for :func:`_apply`, wrapped on each call and not copied."""
+        return CsrArrays(self._w.indptr, self._w.indices, self._w.data)
+
     def neighbors(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Neighbor indices and weights of node ``i``, sorted by index."""
         lo, hi = self._w.indptr[i], self._w.indptr[i + 1]
@@ -179,13 +183,9 @@ class ItemGraph:
         return self._labels
 
     def structurally_equal(self, other: "ItemGraph") -> bool:
-        return (
-            self.items == other.items
-            and self._w.shape == other._w.shape
-            and np.array_equal(self._w.indptr, other._w.indptr)
-            and np.array_equal(self._w.indices, other._w.indices)
-            and np.array_equal(self._w.data, other._w.data)
-        )
+        same_w = map(np.array_equal, self.adjacency_arrays(), other.adjacency_arrays())
+        # equal items give equal shapes
+        return self.items == other.items and all(same_w)
 
 
 class CsrArrays(NamedTuple):

@@ -74,6 +74,25 @@ def random_observed(rng: np.random.Generator, graph: ItemGraph, lo=1.0, hi=5.0):
     return {graph.items[i]: float(rng.uniform(lo, hi)) for i in sorted(idx)}
 
 
+def graph_with_gaps(rng, n, unobserved_component):
+    """Random connected graph on n items plus a degree-0 item and, if asked, a 3-item second component.
+
+    Observations fall on the connected part and sometimes on the degree-0
+    item, so neither that item nor the second component is a row of the
+    objective.
+    """
+    core = random_connected_graph(rng, n)
+    items = list(core.items) + ["lone"]
+    edges = [(core.items[i], core.items[j], w) for i, j, w in core.edges()]
+    if unobserved_component:
+        items += ["j0", "j1", "j2"]
+        edges += [("j0", "j1", 0.6), ("j1", "j2", 0.3)]
+    observed = random_observed(rng, core)
+    if rng.uniform() < 0.5:
+        observed["lone"] = float(rng.uniform(1, 5))
+    return ItemGraph.from_edges(items, edges), observed
+
+
 def random_rating_matrix(
     rng: np.random.Generator,
     n_users: int,

@@ -182,8 +182,10 @@ class TestEvaluateCommand:
             (("--source-tolerance", "nan"), "source_tolerance must be positive and finite"),
             (("--jobs", "0"), "jobs must be at least 1, got 0"),
             (("--jobs", "-3"), "jobs must be at least 1, got -3"),
+            (("--methods", ","), "no method given (choose from knn, hcp and sfr)"),
+            (("--methods", ""), "no method given (choose from knn, hcp and sfr)"),
         ],
-        ids=["eps-nan", "eps-inf", "tolerance-nan", "jobs-0", "jobs-negative"],
+        ids=["eps-nan", "eps-inf", "tolerance-nan", "jobs-0", "jobs-negative", "methods-comma", "methods-empty"],
     )
     def test_bad_setting_fails_labelled(self, tmp_path, capsys, flag, message):
         out = tmp_path / "out"

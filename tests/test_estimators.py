@@ -27,7 +27,7 @@ from rategraph import estimators
 from rategraph.evaluation import BoundClass, classify_bound
 from rategraph.graph import CsrArrays, _apply
 from rategraph.synthetic import tent_ring_dataset
-from tests.conftest import random_connected_graph, random_observed
+from tests.conftest import graph_with_gaps, random_connected_graph, random_observed
 
 
 def smoothed_sum(graph, values, config):
@@ -472,25 +472,6 @@ class TestPredictSfr:
         assert not rec.diagnostics.converged
 
 
-def _graph_with_gaps(rng, n, unobserved_component):
-    """Random connected graph on n items plus a degree-0 item and, if asked, a 3-item second component.
-
-    Observations fall on the connected part and sometimes on the degree-0
-    item, so neither that item nor the second component is a row of the
-    objective.
-    """
-    core = random_connected_graph(rng, n)
-    items = list(core.items) + ["lone"]
-    edges = [(core.items[i], core.items[j], w) for i, j, w in core.edges()]
-    if unobserved_component:
-        items += ["j0", "j1", "j2"]
-        edges += [("j0", "j1", 0.6), ("j1", "j2", 0.3)]
-    observed = random_observed(rng, core)
-    if rng.uniform() < 0.5:
-        observed["lone"] = float(rng.uniform(1, 5))
-    return ItemGraph.from_edges(items, edges), observed
-
-
 def _ring_graph(n_users, n_items, density):
     """A tent-ring training graph and its split, as the benchmark rings build them."""
     split = split_ratings(tent_ring_dataset(2024, n_users, n_items, density), 0.8, seed=1)
@@ -658,7 +639,7 @@ class TestSpgStage:
     def _case(seed):
         """A graph, a config and one to three starts of a block, each with a free item."""
         rng = np.random.default_rng(seed)
-        graph, observed = _graph_with_gaps(rng, int(rng.integers(3, 14)), bool(rng.integers(2)))
+        graph, observed = graph_with_gaps(rng, int(rng.integers(3, 14)), bool(rng.integers(2)))
         lo, hi = (1.0, 5.0) if rng.uniform() < 0.5 else (1.3, 4.7)
         eps = float(rng.choice([1.0, 1e-2, 1e-6]))
         cfg = SolverConfig(bounds=(lo, hi), smoothing_eps=eps, max_iterations=300)
@@ -993,7 +974,7 @@ class TestSecondDifferenceOperators:
     @settings(max_examples=100, deadline=None)
     def test_graphs_with_gaps(self, seed):
         rng = np.random.default_rng(seed)
-        graph, observed = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        graph, observed = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
         assert np.any(graph.degree == 0)
         self._check(graph, rng, [observed])
 
@@ -1015,7 +996,7 @@ class TestSecondDifferenceOperators:
     @settings(max_examples=50, deadline=None)
     def test_sfr_gradient_matches_scipy_matrices(self, seed):
         rng = np.random.default_rng(seed)
-        graph, observed = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        graph, observed = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
         cfg = SolverConfig(bounds=(1, 5), smoothing_eps=float(rng.choice([1.0, 1e-2, 1e-6])))
         values = _with_signed_zeros(rng, rng.uniform(1, 5, graph.item_count))
         free = [name for name in graph.items if name not in observed]
@@ -1116,7 +1097,7 @@ class TestMatvec:
     @settings(max_examples=50, deadline=None)
     def test_equals_scipy_on_graphs_with_gaps(self, seed):
         rng = np.random.default_rng(seed)
-        graph, _ = _graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        graph, _ = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
         assert np.any(graph.degree == 0)
         for mat in _graph_matrices(graph):
             vec = rng.normal(size=graph.item_count) * 10.0 ** rng.integers(-8, 8)
@@ -1157,6 +1138,66 @@ class TestMatvec:
             _apply(_arrays(mat), vec)
 
 
+def _reference_knn(graph, observed):
+    """predict_knn's estimates as they were made on scipy's matrix: ``w @ ind`` and ``w @ vals``."""
+    ind, vals = np.zeros(graph.item_count), np.zeros(graph.item_count)
+    for name, rating in observed.items():
+        ind[graph.item_index[name]] = 1.0
+        vals[graph.item_index[name]] = rating
+    w = graph.adjacency
+    with np.errstate(invalid="ignore"):
+        est = (w @ vals) / (w @ ind)
+    return {**{graph.items[i]: float(est[i]) for i in np.flatnonzero(~np.isnan(est))}, **observed}
+
+
+class TestGraphProductsMatchScipy:
+    """The estimators' products with the graph, made from its raw arrays, equal the scipy formulations they
+    replaced bit for bit: predict_knn's two products with W and l0_oracle's dense P - I."""
+
+    @staticmethod
+    def _check_knn(graph, observed):
+        rec = predict_knn(graph, observed, graph.items)
+        want = _reference_knn(graph, observed)
+        assert {k: v.hex() for k, v in rec.estimates.items()} == {k: v.hex() for k, v in want.items()}
+        assert rec.abstentions == frozenset(graph.items) - want.keys()
+
+    @staticmethod
+    def _check_dense(graph, observed):
+        # the oracle's dense matrix is the one n x n array it allocates
+        zeros, made = np.zeros, []
+        n = graph.item_count
+
+        def spy(shape, *args, **kwargs):
+            out = zeros(shape, *args, **kwargs)
+            if shape == (n, n):
+                made.append(out)
+            return out
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(np, "zeros", spy)
+            l0_oracle(graph, observed, (1.0, 5.0), max_sources=0)
+        op = graph.second_difference_operators()[0]
+        want = sparse.csr_matrix((op.data, op.indices, op.indptr), shape=(n, n)).toarray()
+        assert len(made) == 1 and made[0].tobytes() == want.tobytes()
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_graphs_with_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, observed = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        assert np.any(graph.degree == 0)
+        self._check_knn(graph, observed)
+        self._check_dense(graph, observed)
+
+    @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
+    def test_bench_rings(self, shape):
+        graph, split = _ring_graph(*shape)
+        users = list(_bound_users(graph, split, 10))
+        for observed in users:
+            self._check_knn(graph, observed)
+        self._check_dense(graph, users[0])
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
@@ -1177,6 +1218,12 @@ class TestSolverConfig:
             {"objective_rel_tol": math.inf},
             {"source_tolerance": math.nan},
             {"source_tolerance": math.inf},
+            # a float budget is shared out among the stages in fractions, and True ran as 1
+            {"max_iterations": 2.5},
+            {"max_iterations": 10.0},
+            {"max_iterations": True},
+            {"max_iterations": np.bool_(True)},
+            {"max_iterations": "7"},
         ],
     )
     def test_validation(self, kwargs):
@@ -1184,6 +1231,16 @@ class TestSolverConfig:
         base.update(kwargs)
         with pytest.raises(ValueError):
             SolverConfig(**base)
+
+    def test_fractional_budget_named(self):
+        with pytest.raises(ValueError, match=r"^max_iterations must be an integer, got 2\.5$"):
+            SolverConfig(bounds=(1, 5), max_iterations=2.5)
+
+    @pytest.mark.parametrize("kind", [int, np.int32, np.int64, np.uint16])
+    def test_integer_budgets_accepted(self, ladder, kind):
+        cfg = SolverConfig(bounds=ladder.bounds, max_iterations=kind(7))
+        rec = predict_sfr(ladder.graph, ladder.observed, set(ladder.graph.items), cfg)
+        assert rec.diagnostics.iterations_used == 7
 
     def test_frozen(self):
         cfg = SolverConfig(bounds=(1, 5))

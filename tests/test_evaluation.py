@@ -35,8 +35,9 @@ from rategraph import (
     split_ratings,
 )
 from rategraph import evaluation
+from rategraph.evaluation import _on_graph
 from rategraph.synthetic import tent_ring_dataset
-from tests.conftest import random_rating_matrix
+from tests.conftest import graph_with_gaps, random_rating_matrix
 
 
 def _line_graph(names):
@@ -419,6 +420,25 @@ class TestEvaluate:
             with pytest.raises(ValueError, match="method"):
                 evaluate(methods, split, fix.graph, SolverConfig(bounds=fix.bounds))
 
+    def test_empty_method_list_rejected(self):
+        # it would write an empty report
+        split, fix = _toy_ladder_split()
+        with pytest.raises(ValueError, match=r"^no method given \(choose from knn, hcp and sfr\)$"):
+            evaluate([], split, fix.graph, SolverConfig(bounds=fix.bounds))
+
+    @pytest.mark.parametrize("jobs", [1.5, 2.0, True, "2", None])
+    def test_non_integer_jobs_rejected(self, jobs):
+        # a float count used to fail with a TypeError from inside the pool
+        split, fix = _toy_ladder_split()
+        with pytest.raises(ValueError, match=r"^jobs must be an integer, got "):
+            evaluate(["knn"], split, fix.graph, SolverConfig(bounds=fix.bounds), jobs=jobs)
+
+    def test_numpy_integer_jobs_accepted(self):
+        split, fix = _toy_ladder_split()
+        cfg = SolverConfig(bounds=fix.bounds)
+        want = evaluate(["knn", "hcp"], split, fix.graph, cfg).to_json()
+        assert evaluate(["knn", "hcp"], split, fix.graph, cfg, jobs=np.int64(1)).to_json() == want
+
 
 @pytest.fixture(scope="module")
 def small_tent():
@@ -719,3 +739,63 @@ class TestExamineLinearity:
             examine_linearity(RatingMatrix((1, 5)), graph, coverage=0.0)
         with pytest.raises(ValueError):
             examine_linearity(RatingMatrix((1, 5)), graph, min_neighbor_ratings=0)
+
+
+def _reference_examine(ratings, graph, coverage, min_neighbor_ratings):
+    """examine_linearity's counts as they were made on scipy's matrix: a ones-weighted copy of W summed
+    for the neighbour counts, and ``binary @ ind``, ``w @ ind`` and ``w @ vals`` per user."""
+    edges = np.arange(-4.125, 4.25, 0.25)
+    counts = np.zeros(edges.size + 1, dtype=np.int64)
+    w = graph.adjacency
+    binary = w.copy()
+    binary.data = np.ones_like(binary.data)
+    neighbor_count = np.asarray(binary.sum(axis=1)).ravel()
+    for user in range(ratings.n_users):
+        on_graph = _on_graph(ratings.user_ratings(user), ratings, graph)
+        if not on_graph:
+            continue
+        ind, vals = np.zeros(graph.item_count), np.zeros(graph.item_count)
+        ind[list(on_graph)] = 1.0
+        vals[list(on_graph)] = list(on_graph.values())
+        rated_neighbor_cnt, weight_sum, rating_sum = binary @ ind, w @ ind, w @ vals
+        for g in on_graph:
+            m, total = rated_neighbor_cnt[g], neighbor_count[g]
+            if total == 0 or m < min_neighbor_ratings or m < coverage * total:
+                continue
+            counts[np.searchsorted(edges, rating_sum[g] / weight_sum[g] - vals[g], side="right")] += 1
+    return edges, counts
+
+
+class TestExamineLinearityMatchesScipy:
+    """examine_linearity's products with the graph, made from its raw arrays, give the counts of the
+    scipy formulation they replaced, bit for bit."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_graphs_with_gaps(self, seed):
+        rng = np.random.default_rng(seed)
+        graph, _ = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        assert np.any(graph.degree == 0)
+        # some users rate most items, the degree-0 one and an item off the graph included
+        names = list(graph.items) + ["off"]
+        rows = [(f"u{u}", name, float(rng.uniform(1, 5)))
+                for u in range(int(rng.integers(1, 6))) for name in names if rng.uniform() < 0.8]
+        ratings = RatingMatrix.from_ids((1, 5), *zip(*rows)) if rows else RatingMatrix((1, 5))
+        coverage = float(rng.choice([0.3, 0.5, 0.9, 1.0]))
+        min_ratings = int(rng.integers(1, 4))
+        hist = examine_linearity(ratings, graph, coverage, min_ratings)
+        edges, counts = _reference_examine(ratings, graph, coverage, min_ratings)
+        assert hist.edges.tobytes() == edges.tobytes()
+        assert hist.counts.tobytes() == counts.tobytes()
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.9])
+    @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
+    def test_bench_rings(self, shape, threshold):
+        # as `rategraph examine` runs: the graph built from every rating
+        matrix = tent_ring_dataset(2024, *shape)
+        graph = build_item_graph(matrix, threshold, 3)
+        # the defaults, and gates loose enough that the sparser ring400 yields samples too
+        for coverage, min_ratings in ((0.9, 5), (0.3, 2)):
+            hist = examine_linearity(matrix, graph, coverage, min_ratings)
+            assert hist.counts.tobytes() == _reference_examine(matrix, graph, coverage, min_ratings)[1].tobytes()
+        assert hist.n_samples > 0
