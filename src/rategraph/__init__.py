@@ -27,7 +27,6 @@ from .data import (
     parse_ratings,
     split_ratings,
     square_toy,
-    write_ratings_csv,
     write_test_manifest,
 )
 from .estimators import (
@@ -41,7 +40,6 @@ from .estimators import (
     predict_hcp,
     predict_knn,
     predict_sfr,
-    sfr_gradient,
     sfr_objective,
 )
 from .evaluation import (
@@ -54,11 +52,9 @@ from .evaluation import (
     examine_linearity,
 )
 from .graph import (
-    GraphFormatError,
     ItemGraph,
     SecondDerivativeField,
     build_item_graph,
-    parse_graph,
     pearson_similarity,
     second_derivative,
     serialize_graph,
@@ -78,14 +74,11 @@ __all__ = [
     "parse_ratings",
     "split_ratings",
     "square_toy",
-    "write_ratings_csv",
     "write_test_manifest",
     # graph
-    "GraphFormatError",
     "ItemGraph",
     "SecondDerivativeField",
     "build_item_graph",
-    "parse_graph",
     "pearson_similarity",
     "second_derivative",
     "serialize_graph",
@@ -100,7 +93,6 @@ __all__ = [
     "predict_hcp",
     "predict_knn",
     "predict_sfr",
-    "sfr_gradient",
     "sfr_objective",
     # evaluation
     "BoundClass",

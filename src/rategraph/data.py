@@ -25,7 +25,6 @@ __all__ = [
     "ToyFixture",
     "parse_ratings",
     "split_ratings",
-    "write_ratings_csv",
     "write_test_manifest",
     "square_toy",
     "ladder_toy_26",
@@ -44,7 +43,6 @@ class RatingRecord(NamedTuple):
     user_id: str
     item_id: str
     rating: float
-    timestamp: Optional[int] = None
 
 
 # lines parsed, or records turned into RatingRecords, per step; bounds the
@@ -229,7 +227,7 @@ def _records(matrix: RatingMatrix, keep: slice | np.ndarray) -> Iterator[RatingR
         hi = lo + _CHUNK
         # tuple.__new__ builds each record in C; the NamedTuple's own __new__ is Python
         fields = zip(map(users.__getitem__, u[lo:hi].tolist()), map(items.__getitem__, i[lo:hi].tolist()),
-                     r[lo:hi].tolist(), repeat(None))
+                     r[lo:hi].tolist())
         yield from map(tuple.__new__, repeat(RatingRecord), fields)
 
 
@@ -403,13 +401,6 @@ def split_ratings(matrix: RatingMatrix, fraction: float, seed: int) -> Split:
     i, items = _reindex(i[keep], matrix.items)
     train = RatingMatrix(matrix.bounds, users, items, u, i, r[keep])
     return Split(train=train, test=test, fraction=fraction, seed=seed)
-
-
-def write_ratings_csv(matrix: RatingMatrix, stream: IO[str]) -> None:
-    """CSV serialization that round-trips exactly through parse_ratings."""
-    stream.write("user,item,rating\n")
-    for rec in matrix.records():
-        stream.write(f"{rec.user_id},{rec.item_id},{rec.rating!r}\n")
 
 
 def write_test_manifest(test: Iterable[RatingRecord], stream: IO[str]) -> None:

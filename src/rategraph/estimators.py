@@ -48,7 +48,6 @@ __all__ = [
     "predict_knn",
     "predict_hcp",
     "sfr_objective",
-    "sfr_gradient",
     "predict_sfr",
     "l0_oracle",
 ]
@@ -119,7 +118,6 @@ class UserRecovery:
 
     estimates: dict[str, float]
     abstentions: frozenset[str]
-    method: str
     diagnostics: Optional[SolverDiagnostics] = None
 
 
@@ -159,7 +157,6 @@ def _assemble(
     observed: dict[str, float],
     targets: Iterable[str],
     values: np.ndarray,
-    method: str,
     diagnostics: Optional[SolverDiagnostics] = None,
 ) -> UserRecovery:
     estimates: dict[str, float] = dict(observed)
@@ -177,7 +174,6 @@ def _assemble(
     return UserRecovery(
         estimates=estimates,
         abstentions=frozenset(abstain),
-        method=method,
         diagnostics=diagnostics,
     )
 
@@ -286,7 +282,7 @@ def predict_knn(
     # the weights are positive, so both sums are exactly 0.0 where no neighbour is observed, and only there
     with np.errstate(invalid="ignore"):
         est = rating_sum / weight_sum
-    return _assemble(graph, observed, targets, est, "knn")
+    return _assemble(graph, observed, targets, est)
 
 
 def predict_hcp(
@@ -301,7 +297,7 @@ def predict_hcp(
     """
     obs_idx, obs_val = _observed_arrays(graph, observed)
     values = _harmonic_extend(graph, obs_idx, obs_val)[0]
-    return _assemble(graph, observed, targets, values, "hcp")
+    return _assemble(graph, observed, targets, values)
 
 
 # -- smoothed l_p objective --------------------------------------------------------
@@ -371,28 +367,6 @@ def sfr_objective(graph: ItemGraph, values: np.ndarray, config: SolverConfig) ->
     eps = config.smoothing_eps
     [total] = _smoothed_sums(op, vec[:, None], eps * eps, eps**config.p, config.p, [rows])[2]
     return total ** (1.0 / config.p)
-
-
-def sfr_gradient(
-    graph: ItemGraph,
-    values: np.ndarray,
-    free: Iterable[str],
-    config: SolverConfig,
-) -> np.ndarray:
-    """Analytic gradient of the smoothed objective *sum* w.r.t. free items.
-
-    ``free`` names unobserved items; the result is ordered by ascending item
-    index. Gradient of sum_k phi((P R - R)_k) with P = D^-1 W: chain rule
-    through M = P - I gives M^T phi'(s) restricted to the free coordinates.
-    """
-    free_idx = np.array(
-        sorted(graph.item_index[str(name)] for name in free), dtype=np.int64
-    )
-    vec, _ = _defined_values(graph, values)
-    op, op_t = graph.second_difference_operators()
-    eps = config.smoothing_eps
-    s, q, _ = _smoothed_sums(op, vec[:, None], eps * eps, eps**config.p, config.p, [None])
-    return _gradients(op_t, s, q, config.p)[free_idx, 0]
 
 
 # -- scalar function recovery ------------------------------------------------------
@@ -659,7 +633,7 @@ def predict_sfr(
         source_count=source_count,
         converged=converged,
     )
-    return _assemble(graph, observed, targets, values, "sfr", diag)
+    return _assemble(graph, observed, targets, values, diag)
 
 
 # -- exhaustive minimal-source oracle ----------------------------------------------

@@ -94,9 +94,9 @@ class EvaluationReport:
     """Bound-problem statistics, per-method RMSE, and solver diagnostics.
 
     ``rmse`` maps method -> {"all", "higher", "lower"} -> value or None when
-    the class set is empty; counts accompany every RMSE. Error contribution
-    shares are squared-residual fractions of the kNN predictor over all
-    classified test examples, so the four classes sum to the total exactly.
+    the class set is empty; counts accompany every RMSE. Error contributions
+    are squared-residual sums of the kNN predictor over all classified test
+    examples, one per class, so the four classes sum to the total exactly.
 
     ``truth_rows`` holds one ``(method, bound_class, truth, count, rmse)``
     tuple per row of ``rmse.tsv``, ``truth`` the row's key string; a

@@ -26,14 +26,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from .data import RatingMatrix
 
 __all__ = [
-    "GraphFormatError",
     "ItemGraph",
     "SecondDerivativeField",
     "pearson_similarity",
     "build_item_graph",
     "second_derivative",
     "serialize_graph",
-    "parse_graph",
 ]
 
 # Edge weights are quantized to this many decimals so that the TSV edge-list
@@ -41,10 +39,6 @@ __all__ = [
 WEIGHT_DECIMALS = 12
 # item columns per block of build_item_graph; bounds its dense work arrays
 _BLOCK = 512
-
-
-class GraphFormatError(ValueError):
-    """Malformed or inconsistent serialized graph."""
 
 
 class ItemGraph:
@@ -424,8 +418,8 @@ def second_derivative(
 #   #item<TAB><name>            one per node, in index order
 #   <item_a><TAB><item_b><TAB><weight>   one per undirected edge, 12 decimals
 #
-# The node prolog keeps isolated items across round trips; parsers that only
-# care about edges can skip the '#' lines.
+# The node prolog names every item, isolated ones included; a reader that
+# only wants edges can skip the '#' lines.
 
 
 def serialize_graph(graph: ItemGraph, stream: IO[str]) -> None:
@@ -434,47 +428,3 @@ def serialize_graph(graph: ItemGraph, stream: IO[str]) -> None:
         stream.write(f"#item\t{name}\n")
     for i, j, w in graph.edges():
         stream.write(f"{graph.items[i]}\t{graph.items[j]}\t{w:.12f}\n")
-
-
-def parse_graph(stream: IO[str]) -> ItemGraph:
-    items: list[str] = []
-    edges: list[tuple[str, str, float]] = []
-    declared = None
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split("\t")
-        if parts[0] == "#items":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise GraphFormatError(f"line {lineno}: bad #items header")
-            declared = int(parts[1])
-            continue
-        if parts[0] == "#item":
-            if len(parts) != 2:
-                raise GraphFormatError(f"line {lineno}: bad #item line")
-            items.append(parts[1])
-            continue
-        if parts[0].startswith("#"):
-            continue
-        if len(parts) != 3:
-            raise GraphFormatError(f"line {lineno}: expected 'a<TAB>b<TAB>weight'")
-        a, b, raw_w = parts
-        try:
-            w = float(raw_w)
-        except ValueError as exc:
-            raise GraphFormatError(f"line {lineno}: bad weight {raw_w!r}") from exc
-        edges.append((a, b, w))
-    if declared is not None and declared != len(items):
-        raise GraphFormatError(f"#items says {declared} but found {len(items)} #item lines")
-    if not items:
-        # edge-list-only stream: nodes are whatever the edges mention
-        names: dict[str, None] = {}
-        for a, b, _ in edges:
-            names.setdefault(a)
-            names.setdefault(b)
-        items = list(names)
-    try:
-        return ItemGraph.from_edges(items, edges)
-    except ValueError as exc:
-        raise GraphFormatError(str(exc)) from exc

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rategraph import ItemGraph, RatingMatrix, ladder_toy_26, square_toy
+from rategraph.estimators import _gradients, _smoothed_sums
 
 # -- acceptance reporting: one status line per criterion, plus detail lines
 # recorded by the tests themselves, printed after the run
@@ -111,3 +112,13 @@ def random_rating_matrix(
                 items.append(f"m{i}")
                 ratings.append(r)
     return RatingMatrix.from_ids(bounds, users, items, ratings)
+
+
+def analytic_gradient(graph: ItemGraph, values: np.ndarray, free, config) -> np.ndarray:
+    """Gradient of the smoothed objective's sum at the ``free`` items, in index order, from sfr's own evaluator."""
+    free_idx = sorted(graph.item_index[name] for name in free)
+    vec = np.where(graph.degree > 0, values, 0.0)
+    op, op_t = graph.second_difference_operators()
+    eps = config.smoothing_eps
+    s, q, _ = _smoothed_sums(op, vec[:, None], eps * eps, eps**config.p, config.p, [None])
+    return _gradients(op_t, s, q, config.p)[free_idx, 0]

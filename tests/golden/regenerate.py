@@ -6,8 +6,9 @@ Two runs:
   settings, its ``report.json``, ``rmse.tsv`` and ``test_manifest.csv``;
 * ``ring120/``: an in-process ``evaluate`` of knn, hcp and sfr on the
   benchmark's ring120, ``tent_ring_dataset(2024)`` split 0.8 with seed 1 and
-  a graph at threshold 0.9 and ``min_support`` 3: the same three files and
-  ``predictions.csv``.
+  a graph at threshold 0.9 and ``min_support`` 3: the same three files,
+  ``predictions.csv`` and the graph as ``rategraph build-graph`` writes it,
+  ``graph.tsv``.
 
 Run from the repository root to rewrite the files::
 
@@ -25,7 +26,14 @@ import sys
 import tempfile
 from pathlib import Path
 
-from rategraph import SolverConfig, build_item_graph, evaluate, split_ratings, write_test_manifest
+from rategraph import (
+    SolverConfig,
+    build_item_graph,
+    evaluate,
+    serialize_graph,
+    split_ratings,
+    write_test_manifest,
+)
 from rategraph.cli import main
 from rategraph.synthetic import tent_ring_dataset
 
@@ -41,19 +49,26 @@ def ladder26_outputs() -> dict[str, str]:
                 for name in ("report.json", "rmse.tsv", "test_manifest.csv")}
 
 
-def ring120_outputs() -> dict[str, str]:
-    """What ``rategraph evaluate`` and ``predict`` would write for ring120, by file name."""
+def ring120_inputs():
+    """ring120's split and its graph."""
     split = split_ratings(tent_ring_dataset(2024), 0.8, seed=1)
-    graph = build_item_graph(split.train, threshold=0.9, min_support=3)
-    predictions, manifest = io.StringIO(), io.StringIO()
+    return split, build_item_graph(split.train, threshold=0.9, min_support=3)
+
+
+def ring120_outputs() -> dict[str, str]:
+    """What ``rategraph evaluate``, ``predict`` and ``build-graph`` would write for ring120, by file name."""
+    split, graph = ring120_inputs()
+    predictions, manifest, graph_tsv = io.StringIO(), io.StringIO(), io.StringIO()
     report = evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0)),
                       predictions_out=predictions)
     write_test_manifest(split.test, manifest)
+    serialize_graph(graph, graph_tsv)
     return {
         "report.json": report.to_json(),
         "rmse.tsv": report.rmse_tsv(),
         "test_manifest.csv": manifest.getvalue(),
         "predictions.csv": predictions.getvalue(),
+        "graph.tsv": graph_tsv.getvalue(),
     }
 
 

@@ -27,11 +27,10 @@ from rategraph import (
     predict_knn,
     predict_sfr,
     second_derivative,
-    sfr_gradient,
     split_ratings,
 )
 from rategraph.synthetic import tent_ring_dataset
-from tests.conftest import random_connected_graph, random_observed, record_acceptance
+from tests.conftest import analytic_gradient, random_connected_graph, random_observed, record_acceptance
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -160,7 +159,7 @@ class TestCriterion5GradientCheck:
                 continue
             cfg = SolverConfig(bounds=(1, 5))
             r = rng.uniform(1, 5, n)
-            analytic = sfr_gradient(g, r, free, cfg)
+            analytic = analytic_gradient(g, r, free, cfg)
             idx = sorted(g.item_index[nm] for nm in free)
             fd = np.empty(len(idx))
             for k, i in enumerate(idx):

@@ -19,7 +19,6 @@ from rategraph import (
     predict_knn,
     predict_sfr,
     second_derivative,
-    sfr_gradient,
     sfr_objective,
     split_ratings,
 )
@@ -27,7 +26,7 @@ from rategraph import estimators
 from rategraph.evaluation import BoundClass, classify_bound
 from rategraph.graph import CsrArrays, _apply
 from rategraph.synthetic import tent_ring_dataset
-from tests.conftest import graph_with_gaps, random_connected_graph, random_observed
+from tests.conftest import analytic_gradient, graph_with_gaps, random_connected_graph, random_observed
 
 
 def smoothed_sum(graph, values, config):
@@ -349,7 +348,7 @@ class TestSfrObjective:
 class TestSfrGradient:
     def test_constant_vector_zero_gradient(self, square):
         cfg = SolverConfig(bounds=(1, 9))
-        g = sfr_gradient(square.graph, np.full(4, 4.0), ["B", "D"], cfg)
+        g = analytic_gradient(square.graph, np.full(4, 4.0), ["B", "D"], cfg)
         assert np.all(g == 0.0)
 
     def test_square_random_matches_finite_differences(self, square):
@@ -358,7 +357,7 @@ class TestSfrGradient:
         for _ in range(5):
             r = rng.uniform(1, 9, 4)
             free = ["B", "D"]
-            got = sfr_gradient(square.graph, r, free, cfg)
+            got = analytic_gradient(square.graph, r, free, cfg)
             ref = fd_gradient(square.graph, r, free, cfg)
             err = np.abs(got - ref) / np.maximum.reduce([np.abs(ref), np.abs(got), np.full_like(ref, 1e-8)])
             assert err.max() < 1e-4
@@ -372,7 +371,7 @@ class TestSfrGradient:
         rec = predict_hcp(g, ladder.observed, set(g.items))
         r = np.array([rec.estimates[n] for n in g.items])
         free = [n for n in g.items if n not in ladder.observed]
-        got = sfr_gradient(g, r, free, cfg)
+        got = analytic_gradient(g, r, free, cfg)
         ref = fd_gradient(g, r, free, cfg)
         assert np.all(np.abs(got - ref) <= 1e-4 * np.maximum(np.abs(got), np.abs(ref)) + 1e-6)
 
@@ -922,7 +921,7 @@ def _with_signed_zeros(rng, vec):
 
 
 def _reference_sfr_gradient(graph, values, free, config):
-    """sfr_gradient as it was written on scipy matrices: P^T @ u - u at the free items."""
+    """The sfr gradient as it was written on scipy matrices: P^T @ u - u at the free items."""
     free_idx = np.array(sorted(graph.item_index[name] for name in free), dtype=np.int64)
     p_mat, pt_mat = _walk_pair(graph)
     defined = graph.degree > 0
@@ -1000,7 +999,7 @@ class TestSecondDifferenceOperators:
         cfg = SolverConfig(bounds=(1, 5), smoothing_eps=float(rng.choice([1.0, 1e-2, 1e-6])))
         values = _with_signed_zeros(rng, rng.uniform(1, 5, graph.item_count))
         free = [name for name in graph.items if name not in observed]
-        got = sfr_gradient(graph, values, free, cfg)
+        got = analytic_gradient(graph, values, free, cfg)
         assert got.tobytes() == _reference_sfr_gradient(graph, values, free, cfg).tobytes()
 
     @pytest.mark.parametrize("shape", [(120, 40, 0.55), (400, 200, 0.3)], ids=["ring120", "ring400"])
@@ -1011,7 +1010,7 @@ class TestSecondDifferenceOperators:
         for observed in _bound_users(graph, split, 5):
             values = rng.uniform(1, 5, graph.item_count)
             free = [name for name in graph.items if name not in observed]
-            assert sfr_gradient(graph, values, free, cfg).tobytes() == \
+            assert analytic_gradient(graph, values, free, cfg).tobytes() == \
                 _reference_sfr_gradient(graph, values, free, cfg).tobytes()
 
 

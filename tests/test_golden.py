@@ -7,12 +7,14 @@ on they are equal byte for byte. ``tests/golden/regenerate.py`` rewrites
 the files.
 """
 
+import io
 import json
 import math
 
 import pytest
 
-from tests.golden.regenerate import GOLDEN_DIR, RUNS
+from rategraph import serialize_graph
+from tests.golden.regenerate import GOLDEN_DIR, RUNS, ring120_inputs
 
 REL_TOL = 1e-12
 # per delimited file: its separator, its header lines and the columns that hold a computed float;
@@ -21,6 +23,8 @@ FILES = {
     "rmse.tsv": ("\t", 1, {4}),
     "test_manifest.csv": (",", 0, set()),
     "predictions.csv": (",", 0, {2}),
+    # the '#items' and '#item' lines have two cells, so only edge lines reach column 2
+    "graph.tsv": ("\t", 0, {2}),
 }
 
 
@@ -88,3 +92,14 @@ def test_outputs_match(run):
         else:
             diffs += _same_rows(text, want, file)
     assert diffs == [], "\n".join(diffs[:20])
+
+
+def test_graph_tsv_weights_are_the_stored_weights():
+    # build weights are quantized to the 12 decimals the file writes, so each reads back exactly
+    graph = ring120_inputs()[1]
+    buf = io.StringIO()
+    serialize_graph(graph, buf)
+    written = [line.split("\t") for line in buf.getvalue().splitlines() if not line.startswith("#")]
+    assert len(written) == graph.edge_count > 0
+    for (a, b, w), (i, j, stored) in zip(written, graph.edges()):
+        assert (a, b, float(w)) == (graph.items[i], graph.items[j], stored)

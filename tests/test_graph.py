@@ -10,11 +10,9 @@ from scipy import sparse
 
 from rategraph import graph as graph_module
 from rategraph import (
-    GraphFormatError,
     ItemGraph,
     RatingMatrix,
     build_item_graph,
-    parse_graph,
     pearson_similarity,
     second_derivative,
     serialize_graph,
@@ -164,10 +162,13 @@ class TestItemGraphValidation:
     def test_undeclared_item_rejected(self):
         with pytest.raises(ValueError, match="edge references undeclared item 'a' or 'c'"):
             ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0), ("a", "c", 1.0)])
+        # of two faults, the first in edge order is reported
+        with pytest.raises(ValueError, match="self-loop"):
+            ItemGraph.from_edges(["a", "b"], [("a", "a", 1.0), ("a", "c", 1.0)])
 
     def test_nonpositive_weight_rejected(self):
         # a zero weight would otherwise vanish from the adjacency, edge and all
-        for weight in [-1.0, 0.0, -0.0, math.nan, math.inf]:
+        for weight in [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf]:
             with pytest.raises(ValueError, match=rf"edge 'b'--'c' has weight {weight!r}; weights must be positive and finite"):
                 ItemGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0), ("b", "c", weight)])
 
@@ -241,6 +242,15 @@ class TestSecondDerivative:
             second_derivative(g, np.array([1.0, np.nan]))
 
 
+def _read_tsv(text):
+    """The graph a :func:`serialize_graph` file describes: its '#item' lines in order, then its edges."""
+    lines = [line.split("\t") for line in text.splitlines()]
+    items = [parts[1] for parts in lines if parts[0] == "#item"]
+    assert lines[0] == ["#items", str(len(items))]
+    edges = [parts for parts in lines if not parts[0].startswith("#")]
+    return ItemGraph.from_edges(items, [(a, b, float(w)) for a, b, w in edges])
+
+
 class TestSerialization:
     def test_square_writes_four_edge_lines(self, square):
         buf = io.StringIO()
@@ -255,7 +265,7 @@ class TestSerialization:
             g = random_connected_graph(rng, int(rng.integers(2, 20)))
             buf = io.StringIO()
             serialize_graph(g, buf)
-            again = parse_graph(io.StringIO(buf.getvalue()))
+            again = _read_tsv(buf.getvalue())
             # weights quantize to 12 decimals on the wire
             assert again.items == g.items
             assert np.array_equal(again.adjacency.indices, g.adjacency.indices)
@@ -265,7 +275,7 @@ class TestSerialization:
         g = ItemGraph.from_edges(["a", "b", "lonely"], [("a", "b", 0.5)])
         buf = io.StringIO()
         serialize_graph(g, buf)
-        again = parse_graph(io.StringIO(buf.getvalue()))
+        again = _read_tsv(buf.getvalue())
         assert again.structurally_equal(g)
 
     def test_built_graph_round_trips_exactly(self):
@@ -274,39 +284,16 @@ class TestSerialization:
         g = build_item_graph(m, 0.2)
         buf = io.StringIO()
         serialize_graph(g, buf)
-        again = parse_graph(io.StringIO(buf.getvalue()))
+        again = _read_tsv(buf.getvalue())
         assert again.structurally_equal(g)
 
     def test_fixed_point_weight_parses_exactly(self):
-        text = "a\tb\t0.250000000000\n"
-        g = parse_graph(io.StringIO(text))
+        buf = io.StringIO()
+        serialize_graph(ItemGraph.from_edges(["a", "b"], [("a", "b", 0.25)]), buf)
+        assert buf.getvalue().splitlines()[-1] == "a\tb\t0.250000000000"
+        g = _read_tsv(buf.getvalue())
         _, w = g.neighbors(g.item_index["a"])
         assert w[0] == 0.25
-
-    def test_malformed_line(self):
-        with pytest.raises(GraphFormatError, match="line 1"):
-            parse_graph(io.StringIO("a\tb\n"))
-
-    def test_bad_weight(self):
-        with pytest.raises(GraphFormatError, match="weight"):
-            parse_graph(io.StringIO("a\tb\theavy\n"))
-
-    def test_zero_weight_rejected(self):
-        with pytest.raises(GraphFormatError, match="edge 'a'--'b' has weight 0.0"):
-            parse_graph(io.StringIO("a\tb\t0.000000000000\nb\tc\t1.000000000000\n"))
-
-    def test_duplicate_edges_rejected(self):
-        text = "a\tb\t0.5\nb\ta\t0.5\n"
-        with pytest.raises(GraphFormatError, match="duplicate"):
-            parse_graph(io.StringIO(text))
-
-    def test_undeclared_item_rejected(self):
-        header = "#items\t2\n#item\ta\n#item\tb\n"
-        with pytest.raises(GraphFormatError, match="edge references undeclared item 'a' or 'c'"):
-            parse_graph(io.StringIO(header + "a\tb\t0.5\na\tc\t0.5\n"))
-        # of two faults, the first in edge order is reported
-        with pytest.raises(GraphFormatError, match="self-loop"):
-            parse_graph(io.StringIO(header + "a\ta\t0.5\na\tc\t0.5\n"))
 
 
 # -- the graph build's product kernel, and the build against the six-product reference
