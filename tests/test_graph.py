@@ -162,9 +162,6 @@ class TestItemGraphValidation:
     def test_undeclared_item_rejected(self):
         with pytest.raises(ValueError, match="edge references undeclared item 'a' or 'c'"):
             ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0), ("a", "c", 1.0)])
-        # of two faults, the first in edge order is reported
-        with pytest.raises(ValueError, match="self-loop"):
-            ItemGraph.from_edges(["a", "b"], [("a", "a", 1.0), ("a", "c", 1.0)])
 
     def test_nonpositive_weight_rejected(self):
         # a zero weight would otherwise vanish from the adjacency, edge and all
@@ -294,6 +291,26 @@ class TestSerialization:
         g = _read_tsv(buf.getvalue())
         _, w = g.neighbors(g.item_index["a"])
         assert w[0] == 0.25
+
+    # a file read back goes through ItemGraph.from_edges, which rejects what no built graph holds
+
+    def test_zero_weight_rejected(self):
+        text = "#items\t3\n#item\ta\n#item\tb\n#item\tc\na\tb\t0.000000000000\nb\tc\t1.000000000000\n"
+        with pytest.raises(ValueError, match="edge 'a'--'b' has weight 0.0"):
+            _read_tsv(text)
+
+    def test_duplicate_edges_rejected(self):
+        text = "#items\t2\n#item\ta\n#item\tb\na\tb\t0.5\nb\ta\t0.5\n"
+        with pytest.raises(ValueError, match="duplicate"):
+            _read_tsv(text)
+
+    def test_undeclared_item_rejected(self):
+        header = "#items\t2\n#item\ta\n#item\tb\n"
+        with pytest.raises(ValueError, match="edge references undeclared item 'a' or 'c'"):
+            _read_tsv(header + "a\tb\t0.5\na\tc\t0.5\n")
+        # of two faults, the first in edge order is reported
+        with pytest.raises(ValueError, match="self-loop"):
+            _read_tsv(header + "a\ta\t0.5\na\tc\t0.5\n")
 
 
 # -- the graph build's product kernel, and the build against the six-product reference
