@@ -17,89 +17,13 @@ plus dataset ingestion, graph construction from Pearson similarity, an
 evaluation harness for the bound problem, and a CLI (``rategraph``).
 """
 
-from .data import (
-    RatingMatrix,
-    RatingParseError,
-    RatingRecord,
-    Split,
-    ToyFixture,
-    ladder_toy_26,
-    parse_ratings,
-    split_ratings,
-    square_toy,
-    write_test_manifest,
-)
-from .estimators import (
-    ConvergenceError,
-    OracleResult,
-    OracleSolution,
-    SolverConfig,
-    SolverDiagnostics,
-    UserRecovery,
-    l0_oracle,
-    predict_hcp,
-    predict_knn,
-    predict_sfr,
-    sfr_objective,
-)
-from .evaluation import (
-    BoundClass,
-    EvaluationReport,
-    Histogram,
-    UnknownItemError,
-    classify_bound,
-    evaluate,
-    examine_linearity,
-)
-from .graph import (
-    ItemGraph,
-    SecondDerivativeField,
-    build_item_graph,
-    pearson_similarity,
-    second_derivative,
-    serialize_graph,
-)
+from . import data, estimators, evaluation, graph
+from .data import *
+from .estimators import *
+from .evaluation import *
+from .graph import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # data
-    "RatingMatrix",
-    "RatingParseError",
-    "RatingRecord",
-    "Split",
-    "ToyFixture",
-    "ladder_toy_26",
-    "parse_ratings",
-    "split_ratings",
-    "square_toy",
-    "write_test_manifest",
-    # graph
-    "ItemGraph",
-    "SecondDerivativeField",
-    "build_item_graph",
-    "pearson_similarity",
-    "second_derivative",
-    "serialize_graph",
-    # estimators
-    "ConvergenceError",
-    "OracleResult",
-    "OracleSolution",
-    "SolverConfig",
-    "SolverDiagnostics",
-    "UserRecovery",
-    "l0_oracle",
-    "predict_hcp",
-    "predict_knn",
-    "predict_sfr",
-    "sfr_objective",
-    # evaluation
-    "BoundClass",
-    "EvaluationReport",
-    "Histogram",
-    "UnknownItemError",
-    "classify_bound",
-    "evaluate",
-    "examine_linearity",
-]
+# each module's __all__ is the list of its public names
+__all__ = ["__version__", *data.__all__, *graph.__all__, *estimators.__all__, *evaluation.__all__]

@@ -24,9 +24,11 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .data import RatingMatrix, Split, ToyFixture, ladder_toy_26, parse_ratings, split_ratings, square_toy
 from .estimators import ConvergenceError, SolverConfig, predict_hcp, predict_knn, predict_sfr
-from .graph import ItemGraph, build_item_graph, second_derivative, serialize_graph
+from .graph import ItemGraph, _breaks_line, build_item_graph, second_derivative, serialize_graph
 
 __all__ = ["ExperimentConfig", "main"]
+
+_TOYS = {"square": square_toy, "ladder26": ladder_toy_26}
 
 
 @dataclass
@@ -111,11 +113,9 @@ def _parse_dataset(cfg: ExperimentConfig) -> RatingMatrix:
 
 
 def _toy_fixture(name: str) -> ToyFixture:
-    if name == "square":
-        return square_toy()
-    if name == "ladder26":
-        return ladder_toy_26()
-    raise ValueError(f"unknown toy {name!r} (choose square or ladder26)")
+    if name not in _TOYS:
+        raise ValueError(f"unknown toy {name!r} (choose {' or '.join(_TOYS)})")
+    return _TOYS[name]()
 
 
 def _toy_split(fix: ToyFixture) -> tuple[Split, ItemGraph]:
@@ -132,6 +132,26 @@ def _toy_split(fix: ToyFixture) -> tuple[Split, ItemGraph]:
     ]
     split = Split(train=train, test=test, fraction=0.8, seed=0)
     return split, fix.graph
+
+
+def _split_and_graph(cfg: ExperimentConfig) -> tuple[ExperimentConfig, Split, ItemGraph]:
+    """The run's split and graph, from the toy or the dataset, and ``cfg`` with the toy's bounds.
+
+    A test id that holds a comma or a line break is refused: the csv outputs
+    could not hold it.
+    """
+    if cfg.toy:
+        split, graph = _toy_split(_toy_fixture(cfg.toy))
+        cfg = replace(cfg, c_low=split.train.bounds[0], c_high=split.train.bounds[1])
+    else:
+        matrix = _parse_dataset(cfg)
+        split = split_ratings(matrix, cfg.fraction, cfg.seed)
+        graph = build_item_graph(split.train, cfg.threshold, cfg.min_support)
+    for rec in split.test:
+        for name in (rec.user_id, rec.item_id):
+            if "," in name or _breaks_line(name):
+                raise ValueError(f"test id {name!r} holds a comma or a line break; the csv outputs cannot hold it")
+    return cfg, split, graph
 
 
 def _write(path: Path, text: str) -> None:
@@ -157,10 +177,9 @@ def _print_rmse_table(report: eval_mod.EvaluationReport, methods: Sequence[str])
 def cmd_build_graph(cfg: ExperimentConfig) -> int:
     matrix = _parse_dataset(cfg)
     graph = build_item_graph(matrix, cfg.threshold, cfg.min_support)
-    out = Path(cfg.output_dir) / "graph.tsv"
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8") as fh:
-        serialize_graph(graph, fh)
+    tsv = io.StringIO()
+    serialize_graph(graph, tsv)
+    _write(Path(cfg.output_dir) / "graph.tsv", tsv.getvalue())
     isolated = int(np.sum(graph.degree == 0))
     print(
         f"nodes={graph.item_count} edges={graph.edge_count} isolated={isolated}",
@@ -170,13 +189,7 @@ def cmd_build_graph(cfg: ExperimentConfig) -> int:
 
 
 def cmd_evaluate(cfg: ExperimentConfig) -> int:
-    if cfg.toy:
-        split, graph = _toy_split(_toy_fixture(cfg.toy))
-        cfg = replace(cfg, c_low=split.train.bounds[0], c_high=split.train.bounds[1])
-    else:
-        matrix = _parse_dataset(cfg)
-        split = split_ratings(matrix, cfg.fraction, cfg.seed)
-        graph = build_item_graph(split.train, cfg.threshold, cfg.min_support)
+    cfg, split, graph = _split_and_graph(cfg)
     methods = cfg.method_list()
     report = eval_mod.evaluate(methods, split, graph, cfg.solver_config(), jobs=cfg.jobs)
     out_dir = Path(cfg.output_dir)
@@ -190,9 +203,7 @@ def cmd_evaluate(cfg: ExperimentConfig) -> int:
 
 
 def cmd_predict(cfg: ExperimentConfig) -> int:
-    matrix = _parse_dataset(cfg)
-    split = split_ratings(matrix, cfg.fraction, cfg.seed)
-    graph = build_item_graph(split.train, cfg.threshold, cfg.min_support)
+    cfg, split, graph = _split_and_graph(cfg)
     methods = cfg.method_list()
     out_dir = Path(cfg.output_dir)
     dump = io.StringIO()
@@ -267,7 +278,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     for name in ("build-graph", "evaluate", "predict", "examine"):
         add_common(sub.add_parser(name))
     toy_parser = sub.add_parser("toy")
-    toy_parser.add_argument("which", choices=["square", "ladder26"])
+    toy_parser.add_argument("which", choices=list(_TOYS))
     toy_parser.add_argument("method", choices=["knn", "hcp", "sfr"])
     # the toy brings its own data and bounds and writes no files, so it takes
     # only the solver settings; argparse rejects any other flag

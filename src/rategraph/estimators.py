@@ -36,7 +36,7 @@ try:
 except ImportError:
     from numpy.core.umath import clip as _clip
 
-from .graph import CsrArrays, ItemGraph, _apply, _defined_values
+from .graph import SOURCE_TOLERANCE, CsrArrays, ItemGraph, _apply, _defined_values
 
 __all__ = [
     "ConvergenceError",
@@ -65,6 +65,8 @@ _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
 # continuation starts smoothing at one rating unit and divides by 10 per stage
 _EPS_START = 1.0
+# l0_oracle counts a source set feasible while its least-squares residual is below this
+_RESIDUAL_TOL = 1e-8
 
 
 class ConvergenceError(RuntimeError):
@@ -80,7 +82,7 @@ class SolverConfig:
     smoothing_eps: float = 1e-6
     max_iterations: int = 10_000
     objective_rel_tol: float = 1e-8
-    source_tolerance: float = 1e-3
+    source_tolerance: float = SOURCE_TOLERANCE
 
     def __post_init__(self) -> None:
         c_l, c_h = self.bounds
@@ -663,14 +665,13 @@ def l0_oracle(
     observed: dict[str, float],
     bounds: tuple[float, float],
     max_sources: int,
-    residual_tol: float = 1e-8,
 ) -> OracleResult:
     """Exhaustively solve the exact minimal-source problem on a small graph.
 
     For k = 0, 1, ..., ``max_sources`` and every k-subset S of candidate
     items, solve the linear system {grad2 R(i) = 0 for i not in S} with the
     observed ratings pinned, in the least-squares sense; a candidate is
-    feasible when the residual stays under ``residual_tol`` and every value
+    feasible when the residual stays under a fixed 1e-8 and every value
     lies within ``bounds`` (up to 1e-9 slack for solver round-off). Returns
     the first k admitting a feasible solution together with *all* feasible
     solutions at that k; ties are not broken.
@@ -716,7 +717,7 @@ def l0_oracle(
             else:
                 x = np.empty(0)
                 residual = float(np.linalg.norm(rhs))
-            if residual >= residual_tol:
+            if residual >= _RESIDUAL_TOL:
                 continue
             if x.size and (x.min() < c_l - slack or x.max() > c_h + slack):
                 continue

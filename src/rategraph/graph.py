@@ -35,8 +35,10 @@ __all__ = [
 ]
 
 # Edge weights are quantized to this many decimals so that the TSV edge-list
-# serialization (which writes 12 decimals) is exactly lossless.
+# serialization (which writes as many) is exactly lossless.
 WEIGHT_DECIMALS = 12
+# a second derivative larger than this in absolute value marks a source
+SOURCE_TOLERANCE = 1e-3
 # item columns per block of build_item_graph; bounds its dense work arrays
 _BLOCK = 512
 
@@ -240,7 +242,7 @@ class SecondDerivativeField:
     """
 
     values: np.ndarray
-    source_tolerance: float = 1e-3
+    source_tolerance: float
 
     def sources(self) -> np.ndarray:
         vals = np.nan_to_num(self.values)
@@ -399,7 +401,7 @@ def _defined_values(graph: ItemGraph, values: np.ndarray) -> tuple[np.ndarray, n
 def second_derivative(
     graph: ItemGraph,
     values: np.ndarray,
-    source_tolerance: float = 1e-3,
+    source_tolerance: float = SOURCE_TOLERANCE,
 ) -> SecondDerivativeField:
     """Discrete second derivative of a complete per-item vector.
 
@@ -416,15 +418,26 @@ def second_derivative(
 # Line format, tab separated:
 #   #items<TAB><count>          header: number of nodes
 #   #item<TAB><name>            one per node, in index order
-#   <item_a><TAB><item_b><TAB><weight>   one per undirected edge, 12 decimals
+#   <item_a><TAB><item_b><TAB><weight>   one per undirected edge, WEIGHT_DECIMALS decimals
 #
 # The node prolog names every item, isolated ones included; a reader that
-# only wants edges can skip the '#' lines.
+# only wants edges can skip the '#' lines. An item id that holds a tab or a
+# line break, or starts with '#', is refused before any line is written.
+
+
+def _breaks_line(text: str) -> bool:
+    """Whether ``text`` holds a character that ``str.splitlines`` splits on."""
+    return len(f"{text}.".splitlines()) > 1
 
 
 def serialize_graph(graph: ItemGraph, stream: IO[str]) -> None:
+    for name in graph.items:
+        if "\t" in name or _breaks_line(name) or name.startswith("#"):
+            raise ValueError(
+                f"item id {name!r} holds a tab or a line break or starts with '#'; graph.tsv cannot hold it"
+            )
     stream.write(f"#items\t{graph.item_count}\n")
     for name in graph.items:
         stream.write(f"#item\t{name}\n")
     for i, j, w in graph.edges():
-        stream.write(f"{graph.items[i]}\t{graph.items[j]}\t{w:.12f}\n")
+        stream.write(f"{graph.items[i]}\t{graph.items[j]}\t{w:.{WEIGHT_DECIMALS}f}\n")

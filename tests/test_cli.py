@@ -10,7 +10,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from rategraph import SolverConfig, estimators
+from rategraph import SolverConfig, estimators, parse_ratings, split_ratings
 from rategraph.cli import ExperimentConfig, main
 from tests.conftest import random_rating_matrix
 
@@ -252,6 +252,57 @@ class TestPredictCommand:
             "--threshold", "0.2", "--jobs", "0", "--output-dir", str(out),
         )
         assert (code, stdout, err) == (1, "", "predict: error: jobs must be at least 1, got 0\n")
+        assert not out.exists()
+
+    def test_toy_ladder26(self, tmp_path, capsys, ladder):
+        out = tmp_path / "out"
+        code, stdout, _ = _run(capsys, "predict", "--toy", "ladder26", "--output-dir", str(out))
+        assert (code, stdout) == (0, f"wrote {out / 'predictions.csv'}\n")
+        items = {"knn": [], "hcp": [], "sfr": []}
+        for line in (out / "predictions.csv").read_text().splitlines():
+            user, item, est, method, _ = line.split(",")
+            assert user == "u1"
+            items[method].append(item)
+            if method == "sfr":
+                assert float(est) == pytest.approx(ladder.ground_truth[item], abs=5e-3)
+        # every unobserved ladder item is a test record, each scored by knn (with fallback) and the
+        # 12 bound records by hcp and sfr, once each in test order
+        assert items["knn"] == [name for name in ladder.ground_truth if name not in ladder.observed]
+        assert items["hcp"] == items["sfr"] == [name for name in items["knn"] if name in items["sfr"]]
+        assert len(items["sfr"]) == 12
+
+
+class TestIdsTheOutputsCannotHold:
+    """An id a written file cannot hold exits 1 with one labelled line and leaves no file."""
+
+    @pytest.mark.parametrize("item", ["it\tem", "#item", "it\vem", "it\u2028em"], ids=["tab", "hash", "vt", "ls"])
+    def test_graph_tsv(self, tmp_path, capsys, item):
+        path = tmp_path / "ratings.csv"
+        path.write_text(f"user,item,rating\nu0,a,3\nu0,{item},4\n", encoding="utf-8")
+        out = tmp_path / "out"
+        code, stdout, err = _run(
+            capsys, "build-graph", "--dataset", str(path), "--format", "csv", "--output-dir", str(out)
+        )
+        message = f"item id {item!r} holds a tab or a line break or starts with '#'; graph.tsv cannot hold it"
+        assert (code, stdout, err) == (1, "", f"build-graph: error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize(
+        "user, item", [("u,0", "i{}"), ("u", "i,{}"), ("u\v0", "i{}")], ids=["user-comma", "item-comma", "user-vt"]
+    )
+    def test_csv_outputs(self, tmp_path, capsys, command, user, item):
+        # movielens_dat separates fields with '::', so its ids may hold a comma
+        path = tmp_path / "ratings.dat"
+        lines = [f"{user}::{item.format(k)}::{1 + k % 5}::0\n" for k in range(10)]
+        path.write_text("".join(lines), encoding="utf-8")
+        with open(path, encoding="utf-8") as fh:
+            first = split_ratings(parse_ratings(fh, "movielens_dat", (1.0, 5.0)), 0.8, 0).test[0]
+        name = first.user_id if user != "u" else first.item_id
+        out = tmp_path / "out"
+        code, stdout, err = _run(capsys, command, "--dataset", str(path), "--output-dir", str(out))
+        message = f"test id {name!r} holds a comma or a line break; the csv outputs cannot hold it"
+        assert (code, stdout, err) == (1, "", f"{command}: error: {message}\n")
         assert not out.exists()
 
 

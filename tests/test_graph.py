@@ -12,6 +12,7 @@ from rategraph import graph as graph_module
 from rategraph import (
     ItemGraph,
     RatingMatrix,
+    SolverConfig,
     build_item_graph,
     pearson_similarity,
     second_derivative,
@@ -238,6 +239,11 @@ class TestSecondDerivative:
         with pytest.raises(ValueError, match="finite"):
             second_derivative(g, np.array([1.0, np.nan]))
 
+    def test_default_source_tolerance_is_the_solvers(self):
+        g = ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0)])
+        tolerance = second_derivative(g, np.array([1.0, 2.0])).source_tolerance
+        assert tolerance == graph_module.SOURCE_TOLERANCE == SolverConfig(bounds=(1.0, 5.0)).source_tolerance
+
 
 def _read_tsv(text):
     """The graph a :func:`serialize_graph` file describes: its '#item' lines in order, then its edges."""
@@ -311,6 +317,24 @@ class TestSerialization:
         # of two faults, the first in edge order is reported
         with pytest.raises(ValueError, match="self-loop"):
             _read_tsv(header + "a\ta\t0.5\na\tc\t0.5\n")
+
+    # every character str.splitlines splits on, which a reader's line split would break the file at
+    @pytest.mark.parametrize(
+        "name", ["it\tem", "#item", *(f"it{c}em" for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")]
+    )
+    def test_id_the_format_cannot_hold_rejected_before_any_line(self, name):
+        g = ItemGraph.from_edges(["a", name], [("a", name, 0.5)])
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as err:
+            serialize_graph(g, buf)
+        assert str(err.value) == f"item id {name!r} holds a tab or a line break or starts with '#'; graph.tsv cannot hold it"
+        assert buf.getvalue() == ""
+
+    def test_inner_hash_and_other_characters_written(self):
+        names = ("a#b", "c d", "e,f", "g::h")
+        buf = io.StringIO()
+        serialize_graph(ItemGraph.from_edges(names, [("a#b", "c d", 0.5), ("e,f", "g::h", 0.25)]), buf)
+        assert _read_tsv(buf.getvalue()).items == names
 
 
 # -- the graph build's product kernel, and the build against the six-product reference
