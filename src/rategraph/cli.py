@@ -30,6 +30,21 @@ __all__ = ["ExperimentConfig", "main"]
 
 _TOYS = {"square": square_toy, "ladder26": ladder_toy_26}
 
+# the ExperimentConfig fields each subcommand reads: it takes --config and one flag for each
+_GRAPH = ("dataset", "format", "c_low", "c_high", "threshold", "min_support")
+_SPLIT = (*_GRAPH, "fraction", "seed")
+_SOLVER = tuple(f.name for f in fields(SolverConfig) if f.name != "bounds")
+_RUN = (*_SPLIT, "toy", "methods", "jobs", "output_dir")
+_READS = {
+    "build-graph": (*_GRAPH, "output_dir"),
+    "evaluate": (*_RUN, *_SOLVER),
+    # nothing predict writes depends on which items count as sources
+    "predict": (*_RUN, *(name for name in _SOLVER if name != "source_tolerance")),
+    "examine": (*_GRAPH, "coverage", "min_neighbor_ratings", "output_dir"),
+    # the toy brings its own data and bounds and writes no file
+    "toy": _SOLVER,
+}
+
 
 @dataclass
 class ExperimentConfig:
@@ -60,6 +75,7 @@ class ExperimentConfig:
     def from_file(cls, path: str) -> "ExperimentConfig":
         cfg = cls()
         types = {f.name: f.type for f in fields(cls)}
+        first: dict[str, int] = {}
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
@@ -71,6 +87,9 @@ class ExperimentConfig:
                 key, value = key.strip(), value.strip()
                 if key not in types:
                     raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in first:
+                    raise ValueError(f"{path}:{lineno}: {key} is already set on line {first[key]}")
+                first[key] = lineno
                 current = getattr(cfg, key)
                 if isinstance(current, (int, float)):
                     kind = type(current)
@@ -141,6 +160,10 @@ def _split_and_graph(cfg: ExperimentConfig) -> tuple[ExperimentConfig, Split, It
     could not hold it.
     """
     if cfg.toy:
+        # a config file may hold every key, so a data setting can reach a toy run that would ignore it
+        for key in _SPLIT:
+            if getattr(cfg, key) != getattr(ExperimentConfig, key):
+                raise ValueError(f"toy {cfg.toy!r} brings its own data, so {key} cannot be set")
         split, graph = _toy_split(_toy_fixture(cfg.toy))
         cfg = replace(cfg, c_low=split.train.bounds[0], c_high=split.train.bounds[1])
     else:
@@ -263,10 +286,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, names: Optional[set[str]] = None) -> None:
+    for command, names in _READS.items():
+        p = sub.add_parser(command)
+        if command == "toy":
+            p.add_argument("which", choices=list(_TOYS))
+            p.add_argument("method", choices=["knn", "hcp", "sfr"])
         p.add_argument("--config", help="key=value config file")
         for f in fields(ExperimentConfig):
-            if names is not None and f.name not in names:
+            if f.name not in names:
                 continue
             if f.type in ("int", int):
                 p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=int)
@@ -274,15 +301,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name, type=float)
             else:
                 p.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name)
-
-    for name in ("build-graph", "evaluate", "predict", "examine"):
-        add_common(sub.add_parser(name))
-    toy_parser = sub.add_parser("toy")
-    toy_parser.add_argument("which", choices=list(_TOYS))
-    toy_parser.add_argument("method", choices=["knn", "hcp", "sfr"])
-    # the toy brings its own data and bounds and writes no files, so it takes
-    # only the solver settings; argparse rejects any other flag
-    add_common(toy_parser, {f.name for f in fields(SolverConfig)} - {"bounds"})
 
     args = parser.parse_args(argv)
     try:

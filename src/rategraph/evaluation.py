@@ -312,16 +312,18 @@ def evaluate(
     # with jobs > 1, blocks small enough that every worker gets one
     size = max(1, min(_BLOCK_USERS, ceil(len(users) / jobs)))
     blocks = [range(start, min(start + size, len(users))) for start in range(0, len(users), size)]
-    if jobs > 1 and len(users) > 1:
+    # no more workers than blocks: a forking pool starts all of its workers at the first submit
+    workers = min(jobs, len(blocks))
+    if workers > 1:
         # here, so jobs=1 never loads multiprocessing
         from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(ctx,)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(ctx,)) as pool:
             # one block per worker at a time, and none once a block has failed: pool.map would queue
             # blocks ahead, and the executor runs every block it has queued
             futures = []
             for block in blocks:
                 running = [future for future in futures if not future.done()]
-                if len(running) == jobs:
+                if len(running) == workers:
                     wait(running, return_when=FIRST_COMPLETED)
                 if any(future.done() and future.exception() for future in futures):
                     break

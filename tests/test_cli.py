@@ -82,6 +82,13 @@ class TestConfigFile:
             ExperimentConfig.from_file(str(path))
         assert str(err.value) == f"{path}:2: {message}"
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("threshold=0.2\n# later\nseed=1\nthreshold=0.9\n", encoding="utf-8")
+        with pytest.raises(ValueError) as err:
+            ExperimentConfig.from_file(str(path))
+        assert str(err.value) == f"{path}:4: threshold is already set on line 1"
+
     def test_flag_overrides_config(self, tmp_path, capsys, small_dataset):
         path = tmp_path / "exp.cfg"
         ExperimentConfig(
@@ -382,12 +389,26 @@ class TestToyCommand:
         assert code == 0
         assert capped != default
 
-    @pytest.mark.parametrize("flag", [("--threshold", "0.2"), ("--output-dir", "x"), ("--dataset", "d.csv"),
-                                      ("--jobs", "2"), ("--c-low", "0")], ids=lambda f: f[0])
-    def test_data_and_output_flags_rejected(self, capsys, flag):
-        # the toy has its own data and bounds and writes no file, so such a flag would be ignored
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (("toy", "ladder26", "sfr"), ("--threshold", "0.2")),
+            (("toy", "ladder26", "sfr"), ("--output-dir", "x")),
+            (("toy", "ladder26", "sfr"), ("--dataset", "d.csv")),
+            (("toy", "ladder26", "sfr"), ("--jobs", "2")),
+            (("toy", "ladder26", "sfr"), ("--c-low", "0")),
+            (("build-graph", "--dataset", "d.csv"), ("--seed", "1")),
+            (("examine", "--dataset", "d.csv"), ("--jobs", "2")),
+            (("evaluate", "--toy", "ladder26"), ("--coverage", "0.5")),
+            (("predict", "--toy", "ladder26"), ("--source-tolerance", "0.01")),
+        ],
+        ids=["--threshold", "--output-dir", "--dataset", "--jobs", "--c-low",
+             "build-graph --seed", "examine --jobs", "evaluate --coverage", "predict --source-tolerance"],
+    )
+    def test_data_and_output_flags_rejected(self, capsys, command, flag):
+        # each subcommand takes only the flags of the settings it reads, so none is ignored
         with pytest.raises(SystemExit) as exc:
-            main(["toy", "ladder26", "sfr", *flag])
+            main([*command, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
@@ -395,6 +416,54 @@ class TestToyCommand:
         code, _, err = _run(capsys, "evaluate", "--toy", "pyramid")
         assert code == 1
         assert "error" in err
+
+
+class TestEachCommandReadsItsSettings:
+    GRAPH = {"--dataset", "--format", "--c-low", "--c-high", "--threshold", "--min-support"}
+    SOLVER = {"--p", "--smoothing-eps", "--max-iterations", "--objective-rel-tol", "--source-tolerance"}
+    RUN = GRAPH | {"--fraction", "--seed", "--toy", "--methods", "--jobs", "--output-dir"}
+
+    @pytest.mark.parametrize(
+        "command, settings",
+        [
+            ("build-graph", GRAPH | {"--output-dir"}),
+            ("examine", GRAPH | {"--coverage", "--min-neighbor-ratings", "--output-dir"}),
+            ("evaluate", RUN | SOLVER),
+            ("predict", RUN | SOLVER - {"--source-tolerance"}),
+            ("toy", SOLVER),
+        ],
+        ids=["build-graph", "examine", "evaluate", "predict", "toy"],
+    )
+    def test_help_lists_only_the_settings_read(self, capsys, command, settings):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) == settings | {"--help", "--config"}
+
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    @pytest.mark.parametrize(
+        "flag, key",
+        [(("--dataset", "d.csv"), "dataset"), (("--threshold", "0.3"), "threshold"),
+         (("--c-low", "0"), "c_low"), (None, "dataset")],
+        ids=["dataset", "threshold", "c-low", "config-dataset"],
+    )
+    def test_toy_run_rejects_a_data_setting(self, tmp_path, capsys, command, flag, key):
+        if flag is None:
+            path = tmp_path / "exp.cfg"
+            ExperimentConfig(toy="ladder26", dataset="d.csv").to_file(str(path))
+            flag = ("--config", str(path))
+        out = tmp_path / "out"
+        code, stdout, err = _run(capsys, command, "--toy", "ladder26", *flag, "--output-dir", str(out))
+        message = f"toy 'ladder26' brings its own data, so {key} cannot be set"
+        assert (code, stdout, err) == (1, "", f"{command}: error: {message}\n")
+        assert not out.exists()
+
+    def test_toy_config_from_to_file_runs(self, tmp_path, capsys):
+        # to_file writes every key; a toy run's data keys hold their defaults
+        path = tmp_path / "exp.cfg"
+        ExperimentConfig(toy="ladder26", methods="knn", output_dir=str(tmp_path / "out")).to_file(str(path))
+        assert _run(capsys, "evaluate", "--config", str(path))[0] == 0
+        assert (tmp_path / "out" / "report.json").exists()
 
 
 class TestClosedStdout:

@@ -346,9 +346,12 @@ class TestEvaluate:
 
         # evaluate imports the pool class from concurrent.futures when jobs > 1
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
-        parallel = evaluate(["knn", "hcp", "sfr"], split, fix.graph, cfg, jobs=2)
-        assert pools == [2], "jobs=2 must fan the two users out over a pool"
-        assert serial.to_json() == parallel.to_json()
+        # two users make two blocks, and no more workers start than there are blocks
+        for jobs in (2, 3):
+            pools.clear()
+            parallel = evaluate(["knn", "hcp", "sfr"], split, fix.graph, cfg, jobs=jobs)
+            assert pools == [2], f"jobs={jobs} must fan the two users out over a pool of two"
+            assert serial.to_json() == parallel.to_json()
 
     def test_reads_each_training_map_once(self, ring_panel, monkeypatch):
         # classification and scoring share one cut of each test user's map
