@@ -8,7 +8,10 @@ Two runs:
   benchmark's ring120, ``tent_ring_dataset(2024)`` split 0.8 with seed 1 and
   a graph at threshold 0.9 and ``min_support`` 3: the same three files,
   ``predictions.csv`` and the graph as ``rategraph build-graph`` writes it,
-  ``graph.tsv``.
+  ``graph.tsv``; and, as ``rategraph examine --coverage 0.5
+  --min-neighbor-ratings 3`` writes it, ``second_derivative_hist.tsv``: the
+  linearity exam over the whole ``tent_ring_dataset(2024)`` matrix and the
+  graph built from it at the same threshold and ``min_support``.
 
 Run from the repository root to rewrite the files::
 
@@ -30,6 +33,7 @@ from rategraph import (
     SolverConfig,
     build_item_graph,
     evaluate,
+    examine_linearity,
     serialize_graph,
     split_ratings,
     write_test_manifest,
@@ -56,8 +60,12 @@ def ring120_inputs():
 
 
 def ring120_outputs() -> dict[str, str]:
-    """What ``rategraph evaluate``, ``predict`` and ``build-graph`` would write for ring120, by file name."""
+    """What ``rategraph evaluate``, ``predict``, ``build-graph`` and ``examine`` would write for ring120, by file name."""
     split, graph = ring120_inputs()
+    matrix = tent_ring_dataset(2024)
+    # the defaults keep 32 samples here; these gates keep 1097
+    hist = examine_linearity(matrix, build_item_graph(matrix, threshold=0.9, min_support=3),
+                             coverage=0.5, min_neighbor_ratings=3)
     predictions, manifest, graph_tsv = io.StringIO(), io.StringIO(), io.StringIO()
     report = evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0)),
                       predictions_out=predictions)
@@ -69,6 +77,7 @@ def ring120_outputs() -> dict[str, str]:
         "test_manifest.csv": manifest.getvalue(),
         "predictions.csv": predictions.getvalue(),
         "graph.tsv": graph_tsv.getvalue(),
+        "second_derivative_hist.tsv": hist.to_tsv(),
     }
 
 

@@ -25,6 +25,8 @@ FILES = {
     "predictions.csv": (",", 0, {2}),
     # the '#items' and '#item' lines have two cells, so only edge lines reach column 2
     "graph.tsv": ("\t", 0, {2}),
+    # the bin edges are fixed multiples of 0.25 and the counts integers, so every cell is exact
+    "second_derivative_hist.tsv": ("\t", 1, set()),
 }
 
 
