@@ -263,16 +263,9 @@ def _harmonic_extend(
 # -- kNN and HCP ------------------------------------------------------------------
 
 
-def predict_knn(
-    graph: ItemGraph,
-    observed: dict[str, float],
-    targets: Iterable[str],
-) -> UserRecovery:
-    """Weighted average of the user's observed ratings over each target's neighbors.
-
-    Abstains when a target has no observed neighbor (or no neighbors at all).
-    """
-    obs_idx, obs_val = _observed_arrays(graph, observed)
+def _neighbour_average(graph: ItemGraph, obs_idx: np.ndarray, obs_val: np.ndarray) -> np.ndarray:
+    """W vals / W ind: at every item, the weighted average of the observed ratings over its neighbours, NaN where
+    no neighbour is observed. At an observed item it is the estimate from the other observations."""
     n = graph.item_count
     ind = np.zeros(n)
     vals = np.zeros(n)
@@ -283,8 +276,20 @@ def predict_knn(
     rating_sum = _apply(w, vals)
     # the weights are positive, so both sums are exactly 0.0 where no neighbour is observed, and only there
     with np.errstate(invalid="ignore"):
-        est = rating_sum / weight_sum
-    return _assemble(graph, observed, targets, est)
+        return rating_sum / weight_sum
+
+
+def predict_knn(
+    graph: ItemGraph,
+    observed: dict[str, float],
+    targets: Iterable[str],
+) -> UserRecovery:
+    """Weighted average of the user's observed ratings over each target's neighbors.
+
+    Abstains when a target has no observed neighbor (or no neighbors at all).
+    """
+    obs_idx, obs_val = _observed_arrays(graph, observed)
+    return _assemble(graph, observed, targets, _neighbour_average(graph, obs_idx, obs_val))
 
 
 def predict_hcp(
@@ -393,11 +398,10 @@ def _stage_budget(config: SolverConfig, n_stages: int, stage: int, used: int) ->
 @dataclass(frozen=True)
 class _SfrStart:
     """What :func:`predict_sfr` sets up before descending: the harmonic warm
-    start (0 where unsolved), the solved mask, the free items and the rows of
-    the objective."""
+    start (0 where unsolved), the free items and the rows of the objective,
+    which are the solved items but the observed ones of degree 0."""
 
     warm: np.ndarray
-    solved: np.ndarray
     free_idx: np.ndarray
     rows: np.ndarray
 
@@ -405,8 +409,7 @@ class _SfrStart:
 def _sfr_start(graph: ItemGraph, observed: dict[str, float], config: SolverConfig) -> _SfrStart:
     obs_idx, obs_val = _observed_arrays(graph, observed, config.bounds)
     warm, reach, free = _harmonic_extend(graph, obs_idx, obs_val)
-    solved = ~np.isnan(warm)
-    return _SfrStart(np.where(solved, warm, 0.0), solved, np.flatnonzero(free), np.flatnonzero(reach))
+    return _SfrStart(np.where(np.isnan(warm), 0.0, warm), np.flatnonzero(free), np.flatnonzero(reach))
 
 
 def _spg_block(
@@ -626,7 +629,9 @@ def predict_sfr(
     if obj < best_obj:
         best, best_s, best_obj = x, s, obj
 
-    values = np.where(start.solved, best, np.nan)
+    # the observed targets, the only solved items that need not be rows, are not read from values
+    values = np.full(graph.item_count, np.nan)
+    values[start.rows] = best[start.rows]
     # a row's second derivative reads only items that are rows themselves
     source_count = int(np.count_nonzero(np.abs(best_s) > config.source_tolerance))
     diag = SolverDiagnostics(

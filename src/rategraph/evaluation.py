@@ -19,7 +19,7 @@ from typing import IO, Iterator, Optional, Sequence
 import numpy as np
 
 from .data import RatingMatrix, RatingRecord, Split
-from .estimators import ConvergenceError, SolverConfig, SolverDiagnostics, _sfr_start, _spg_block
+from .estimators import ConvergenceError, SolverConfig, SolverDiagnostics, _neighbour_average, _sfr_start, _spg_block
 from .estimators import predict_hcp, predict_knn, predict_sfr
 from .graph import CsrArrays, ItemGraph, _apply
 
@@ -448,8 +448,8 @@ def examine_linearity(
 
     For every (user, item) pair where the user rated the item, rated at
     least ``coverage`` of its neighbors and at least ``min_neighbor_ratings``
-    of them, emit the drift: the weighted average of the user's neighbor
-    ratings minus the rating itself. If the vanishing-second-derivative
+    of them, emit the drift: knn's estimate of the item from the user's
+    other ratings minus the rating. If the vanishing-second-derivative
     assumption holds, the samples pile up near zero.
     """
     if not (0 < coverage <= 1):
@@ -466,20 +466,13 @@ def examine_linearity(
     n = graph.item_count
     for user in range(ratings.n_users):
         on_graph = _on_graph(ratings.user_ratings(user), ratings, graph)
-        if not on_graph:
-            continue
+        idx = np.fromiter(on_graph, np.int64, len(on_graph))
+        val = np.fromiter(on_graph.values(), np.float64, len(on_graph))
         ind = np.zeros(n)
-        vals = np.zeros(n)
-        ind[list(on_graph)] = 1.0
-        vals[list(on_graph)] = list(on_graph.values())
-        rated_neighbor_cnt = _apply(ones, ind)
-        weight_sum = _apply(w, ind)
-        rating_sum = _apply(w, vals)
-        for g in on_graph:
-            m = rated_neighbor_cnt[g]
-            total = neighbor_count[g]
-            if total == 0 or m < min_neighbor_ratings or m < coverage * total:
-                continue
-            drift = rating_sum[g] / weight_sum[g] - vals[g]
-            counts[np.searchsorted(edges, drift, side="right")] += 1
+        ind[idx] = 1.0
+        m = _apply(ones, ind)[idx]
+        total = neighbor_count[idx]
+        sampled = (total > 0) & (m >= min_neighbor_ratings) & (m >= coverage * total)
+        drift = _neighbour_average(graph, idx, val)[idx[sampled]] - val[sampled]
+        counts += np.bincount(np.searchsorted(edges, drift, side="right"), minlength=counts.size)
     return Histogram(edges=edges, counts=counts)

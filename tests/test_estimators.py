@@ -754,7 +754,7 @@ class TestSpgStage:
         n = ladder.graph.item_count
         cfg = SolverConfig(bounds=(1, 9))
         good = estimators._sfr_start(ladder.graph, ladder.observed, cfg)
-        bad = estimators._SfrStart(make(n), np.ones(n, dtype=bool), np.arange(2), np.arange(n))
+        bad = estimators._SfrStart(make(n), np.arange(2), np.arange(n))
         with pytest.raises(ValueError, match=f"float64 vector of length {n}"):
             estimators._spg_block([good, bad], ladder.graph, cfg)
 

@@ -36,6 +36,7 @@ from rategraph import (
 )
 from rategraph import evaluation
 from rategraph.evaluation import _on_graph
+from rategraph.graph import CsrArrays, _apply
 from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import graph_with_gaps, random_rating_matrix
 
@@ -779,12 +780,14 @@ class TestExamineLinearityMatchesScipy:
         rng = np.random.default_rng(seed)
         graph, _ = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
         assert np.any(graph.degree == 0)
-        # some users rate most items, the degree-0 one and an item off the graph included
+        # some users rate most items, the degree-0 one and an item off the graph included, and one user
+        # rates only the item off the graph
         names = list(graph.items) + ["off"]
         rows = [(f"u{u}", name, float(rng.uniform(1, 5)))
                 for u in range(int(rng.integers(1, 6))) for name in names if rng.uniform() < 0.8]
-        ratings = RatingMatrix.from_ids((1, 5), *zip(*rows)) if rows else RatingMatrix((1, 5))
-        coverage = float(rng.choice([0.3, 0.5, 0.9, 1.0]))
+        ratings = RatingMatrix.from_ids((1, 5), *zip(*rows, ("v", "off", 3.0)))
+        # 0.25, 0.5, 0.75 and 1.0 times a degree are exact, so a rated-neighbour count can equal them
+        coverage = float(rng.choice([0.25, 0.3, 0.5, 0.75, 0.9, 1.0]))
         min_ratings = int(rng.integers(1, 4))
         hist = examine_linearity(ratings, graph, coverage, min_ratings)
         edges, counts = _reference_examine(ratings, graph, coverage, min_ratings)
@@ -802,3 +805,101 @@ class TestExamineLinearityMatchesScipy:
             hist = examine_linearity(matrix, graph, coverage, min_ratings)
             assert hist.counts.tobytes() == _reference_examine(matrix, graph, coverage, min_ratings)[1].tobytes()
         assert hist.n_samples > 0
+
+
+def _loop_examine(ratings, graph, coverage, min_neighbor_ratings):
+    """examine_linearity's counts as its per-sample loop made them: per user, the products of the graph and a
+    ones-weighted copy of it with the rated items' indicator and ratings, then one test and one bin per rated item."""
+    edges = np.arange(-4.125, 4.25, 0.25)
+    counts = np.zeros(edges.size + 1, dtype=np.int64)
+    w = graph.adjacency_arrays()
+    neighbor_count = np.diff(w.indptr)
+    ones = CsrArrays(w.indptr, w.indices, np.ones(w.data.size))
+    for user in range(ratings.n_users):
+        on_graph = _on_graph(ratings.user_ratings(user), ratings, graph)
+        if not on_graph:
+            continue
+        ind, vals = np.zeros(graph.item_count), np.zeros(graph.item_count)
+        ind[list(on_graph)] = 1.0
+        vals[list(on_graph)] = list(on_graph.values())
+        rated_neighbor_cnt, weight_sum, rating_sum = _apply(ones, ind), _apply(w, ind), _apply(w, vals)
+        for g in on_graph:
+            m, total = rated_neighbor_cnt[g], neighbor_count[g]
+            if total == 0 or m < min_neighbor_ratings or m < coverage * total:
+                continue
+            counts[np.searchsorted(edges, rating_sum[g] / weight_sum[g] - vals[g], side="right")] += 1
+    return counts
+
+
+class TestExamineLinearityMatchesLoop:
+    """examine_linearity's one array pass per user gives the counts of the per-sample loop it replaced."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        # dyadic coverages make coverage * degree exact, so rated-neighbour counts equal it often
+        coverage=st.one_of(st.sampled_from([0.25, 0.5, 0.75, 1.0]), st.floats(0.0, 1.0, exclude_min=True)),
+        min_ratings=st.integers(1, 5),
+        unit=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_drawn_inputs(self, seed, coverage, min_ratings, unit):
+        rng = np.random.default_rng(seed)
+        graph, _ = graph_with_gaps(rng, int(rng.integers(2, 12)), bool(rng.integers(2)))
+        if unit:
+            # unit weights and whole ratings, as on integer-rated data: drifts are fractions with small denominators
+            graph = ItemGraph.from_edges(graph.items, [(graph.items[i], graph.items[j], 1.0)
+                                                       for i, j, _ in graph.edges()])
+        names = list(graph.items) + ["off"]
+        rows = []
+        for u in range(int(rng.integers(1, 6))):
+            share = rng.uniform(0.2, 1.0)
+            rows += [(f"u{u}", name, float(rng.integers(1, 6)) if unit else float(rng.uniform(1, 5)))
+                     for name in names if rng.uniform() < share]
+        # a user whose only rating is off the graph
+        rows.append(("v", "off", 3.0))
+        ratings = RatingMatrix.from_ids((1, 5), *zip(*rows))
+        hist = examine_linearity(ratings, graph, coverage, min_ratings)
+        assert hist.counts.tobytes() == _loop_examine(ratings, graph, coverage, min_ratings).tobytes()
+
+    def test_neighbour_count_equal_to_coverage_times_degree(self):
+        # the centre has 4 neighbours and the user rated 2 of them: 2 == 0.5 * 4 keeps the sample,
+        # the next coverage above 0.5 drops it; each leaf has 1 neighbour, under the minimum of 2
+        center, leaves = "c", [f"l{i}" for i in range(4)]
+        graph = ItemGraph.from_edges([center] + leaves, [(center, leaf, 1.0) for leaf in leaves])
+        ratings = _train([("u", center, 2.0), ("u", "l0", 3.0), ("u", "l1", 4.0)])
+        hist = examine_linearity(ratings, graph, 0.5, 2)
+        assert hist.n_samples == 1
+        assert hist.counts[np.searchsorted(hist.edges, 1.5, side="right")] == 1
+        assert examine_linearity(ratings, graph, float(np.nextafter(0.5, 1.0)), 2).n_samples == 0
+        for coverage in (0.5, float(np.nextafter(0.5, 1.0))):
+            assert examine_linearity(ratings, graph, coverage, 2).counts.tobytes() == _loop_examine(
+                ratings, graph, coverage, 2).tobytes()
+
+    def test_drift_on_a_bin_edge(self):
+        # the centre's 8 neighbours average 3.125, so its drift is the edge 0.125, which opens the bin right of it
+        center, leaves = "c", [f"l{i}" for i in range(8)]
+        graph = ItemGraph.from_edges([center] + leaves, [(center, leaf, 1.0) for leaf in leaves])
+        ratings = _train([("u", center, 3.0)] + [("u", leaf, 3.0) for leaf in leaves[:7]] + [("u", leaves[7], 4.0)])
+        hist = examine_linearity(ratings, graph)
+        edge = int(np.flatnonzero(hist.edges == 0.125)[0])
+        assert hist.n_samples == 1 and hist.counts[edge + 1] == 1
+        assert hist.counts.tobytes() == _loop_examine(ratings, graph, 0.9, 5).tobytes()
+
+    def test_rated_item_of_degree_zero(self):
+        # "lone" has no neighbour, so it is never a sample, even at the loosest gates
+        graph = ItemGraph.from_edges(["a", "b", "lone"], [("a", "b", 1.0)])
+        ratings = _train([("u", "a", 2.0), ("u", "b", 4.0), ("u", "lone", 3.0), ("w", "lone", 1.0)])
+        hist = examine_linearity(ratings, graph, float(np.nextafter(0.0, 1.0)), 1)
+        assert hist.n_samples == 2
+        assert hist.counts.tobytes() == _loop_examine(ratings, graph, float(np.nextafter(0.0, 1.0)), 1).tobytes()
+
+    def test_user_without_a_rating_on_the_graph(self):
+        names = [f"k{i}" for i in range(4)]
+        graph = _complete_graph(names)
+        rated = [("u", name, float(r)) for name, r in zip(names, (1, 2, 4, 5))]
+        off = [("v", "off", 3.0), ("v", "off2", 5.0)]
+        hist = examine_linearity(_train(rated + off), graph, 0.5, 1)
+        assert hist.n_samples == 4
+        assert hist.counts.tobytes() == examine_linearity(_train(rated), graph, 0.5, 1).counts.tobytes()
+        assert hist.counts.tobytes() == _loop_examine(_train(rated + off), graph, 0.5, 1).tobytes()
+        assert examine_linearity(_train(off), graph, 0.5, 1).n_samples == 0
