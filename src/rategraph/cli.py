@@ -38,8 +38,7 @@ _RUN = (*_SPLIT, "toy", "methods", "jobs", "output_dir")
 _READS = {
     "build-graph": (*_GRAPH, "output_dir"),
     "evaluate": (*_RUN, *_SOLVER),
-    # nothing predict writes depends on which items count as sources
-    "predict": (*_RUN, *(name for name in _SOLVER if name != "source_tolerance")),
+    "predict": (*_RUN, *_SOLVER),
     "examine": (*_GRAPH, "coverage", "min_neighbor_ratings", "output_dir"),
     # the toy brings its own data and bounds and writes no file
     "toy": _SOLVER,
@@ -62,8 +61,6 @@ class ExperimentConfig:
     p: float = SolverConfig.p
     smoothing_eps: float = SolverConfig.smoothing_eps
     max_iterations: int = SolverConfig.max_iterations
-    objective_rel_tol: float = SolverConfig.objective_rel_tol
-    source_tolerance: float = SolverConfig.source_tolerance
     methods: str = "knn,hcp,sfr"
     output_dir: str = "out"
     jobs: int = 1
@@ -261,7 +258,7 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
     for name, val in rec.estimates.items():
         full[graph.item_index[name]] = val
     have_all = np.all(np.isfinite(full[graph.degree > 0]))
-    field = second_derivative(graph, full, solver.source_tolerance) if have_all else None
+    field = second_derivative(graph, full) if have_all else None
     src = set(field.sources()) if field is not None else set()
 
     print(f"{'item':<6}{'truth':>8}{'observed':>10}{'estimate':>10}{'grad2':>10}  source")

@@ -63,6 +63,8 @@ _MAX_STEP = 1e10
 # the line search halves lambda from 1, at most 60 times per step
 _BACKTRACK_FACTOR = 0.5
 _MAX_BACKTRACKS = 60
+# a stage stops once a step lowers its objective by less than this fraction
+_OBJECTIVE_REL_TOL = 1e-8
 # continuation starts smoothing at one rating unit and divides by 10 per stage
 _EPS_START = 1.0
 # l0_oracle counts a source set feasible while its least-squares residual is below this
@@ -81,8 +83,6 @@ class SolverConfig:
     p: float = 0.5
     smoothing_eps: float = 1e-6
     max_iterations: int = 10_000
-    objective_rel_tol: float = 1e-8
-    source_tolerance: float = SOURCE_TOLERANCE
 
     def __post_init__(self) -> None:
         c_l, c_h = self.bounds
@@ -95,10 +95,9 @@ class SolverConfig:
             raise ValueError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be positive")
-        # each check is `not <range>`, so NaN, which fails every comparison, is rejected too
-        for name in ("smoothing_eps", "objective_rel_tol", "source_tolerance"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
+        # the check is `not <range>`, so NaN, which fails every comparison, is rejected too
+        if not 0 < self.smoothing_eps < math.inf:
+            raise ValueError("smoothing_eps must be positive and finite")
 
 
 @dataclass
@@ -477,10 +476,10 @@ def _spg_stage(
     step s.s / s.y of the last accepted move s and its gradient change y,
     clamped to [1e-10, 1e10]; it is 0.1 at the first step and whenever
     s.y <= 0. A column stops when d is zero (a stationary point, which covers
-    a zero gradient), when the relative objective decrease falls under
-    ``objective_rel_tol``, when no lambda decreases the objective, or when
-    its budget runs out, which alone leaves it unconverged; the objective
-    never rises across accepted steps.
+    a zero gradient), when the relative objective decrease falls under 1e-8,
+    when no lambda decreases the objective, or when its budget runs out,
+    which alone leaves it unconverged; the objective never rises across
+    accepted steps.
 
     The stage evaluates and differentiates the whole block once, then each
     tick evaluates one trial per column with :func:`_smoothed_sums` and, once
@@ -503,7 +502,6 @@ def _spg_stage(
     c_l, c_h = (np.array(b, dtype=np.float64) for b in config.bounds)
     op, op_t = graph.second_difference_operators()
     p = config.p
-    rel_tol = config.objective_rel_tol
     eps2, eps_p = eps * eps, eps**p
     # per-column state; numpy scalars and masks cost more than they save here
     user = list(range(k))
@@ -561,7 +559,7 @@ def _spg_stage(
                 alpha[j] = min(max(step_j.dot(step_j) / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
                 drop = obj[j] - totals[j]
                 obj[j] = totals[j]
-                if drop < rel_tol * max(abs(obj[j]), 1e-300):
+                if drop < _OBJECTIVE_REL_TOL * max(abs(obj[j]), 1e-300):
                     ended[j] = True
                 elif iters[j] == budget[j]:
                     ended[j] = False
@@ -633,7 +631,7 @@ def predict_sfr(
     values = np.full(graph.item_count, np.nan)
     values[start.rows] = best[start.rows]
     # a row's second derivative reads only items that are rows themselves
-    source_count = int(np.count_nonzero(np.abs(best_s) > config.source_tolerance))
+    source_count = int(np.count_nonzero(np.abs(best_s) > SOURCE_TOLERANCE))
     diag = SolverDiagnostics(
         iterations_used=iterations,
         final_objective=best_obj ** (1.0 / config.p),

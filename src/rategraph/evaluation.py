@@ -277,7 +277,8 @@ def evaluate(
 ) -> EvaluationReport:
     """Score estimators on the bound-problem test examples.
 
-    The graph must have been built from ``split.train`` only. Test records
+    The graph must have been built from ``split.train`` only, and
+    ``config.bounds`` must be the training ratings' bounds. Test records
     naming items outside the graph are counted and excluded. Per-user work is
     independent; with ``jobs`` > 1 it fans out over processes, and results
     are aggregated in user order so the report is identical for any ``jobs``
@@ -300,6 +301,9 @@ def evaluate(
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     train = split.train
+    # sfr keeps its estimates in the solver's box, which must be the one the ratings lie in
+    if tuple(config.bounds) != train.bounds:
+        raise ValueError(f"solver bounds {tuple(config.bounds)} differ from the ratings' bounds {train.bounds}")
 
     # each test user's records, in user order; _EvalContext._inputs classifies them
     by_user: dict[str, list[RatingRecord]] = {}

@@ -28,7 +28,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "ItemGraph",
     "SecondDerivativeField",
-    "pearson_similarity",
     "build_item_graph",
     "second_derivative",
     "serialize_graph",
@@ -249,36 +248,6 @@ class SecondDerivativeField:
         return np.flatnonzero(np.abs(vals) > self.source_tolerance)
 
 
-def pearson_similarity(
-    ratings_i: dict[str, float],
-    ratings_j: dict[str, float],
-    min_support: int = 3,
-) -> Optional[float]:
-    """Pearson correlation between two items over their co-rating users.
-
-    Returns None when fewer than ``min_support`` users rated both items, or
-    when either co-rated sub-vector is constant (the correlation is
-    undefined there, which is not the same thing as zero).
-    """
-    if min_support < 2:
-        raise ValueError("min_support must be at least 2")
-    shared = ratings_i.keys() & ratings_j.keys()
-    n = len(shared)
-    if n < min_support:
-        return None
-    x = np.array([ratings_i[u] for u in sorted(shared)])
-    y = np.array([ratings_j[u] for u in sorted(shared)])
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        return None
-    num = n * float(x @ y) - float(x.sum()) * float(y.sum())
-    var_x = n * float(x @ x) - float(x.sum()) ** 2
-    var_y = n * float(y @ y) - float(y.sum()) ** 2
-    if var_x <= 0 or var_y <= 0:
-        return None
-    r = num / np.sqrt(var_x * var_y)
-    return float(min(1.0, max(-1.0, r)))
-
-
 def build_item_graph(
     train: "RatingMatrix",
     threshold: float,
@@ -292,8 +261,8 @@ def build_item_graph(
     without qualifying edges remain as isolated degree-0 nodes.
 
     All item pairs are scanned in blocks of columns, each from co-rating
-    sums made by :func:`_dense_product`; the result is identical to calling
-    :func:`pearson_similarity` pairwise.
+    sums made by :func:`_dense_product`; the result is identical to the
+    tests' pairwise reference, ``pearson_similarity`` in ``tests/conftest.py``.
     """
     if not (0 < threshold < 1):
         raise ValueError("threshold must lie strictly between 0 and 1")

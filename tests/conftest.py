@@ -1,4 +1,5 @@
 import re
+from typing import Optional
 
 import numpy as np
 import pytest
@@ -112,6 +113,37 @@ def random_rating_matrix(
                 items.append(f"m{i}")
                 ratings.append(r)
     return RatingMatrix.from_ids(bounds, users, items, ratings)
+
+
+def pearson_similarity(
+    ratings_i: dict[str, float],
+    ratings_j: dict[str, float],
+    min_support: int = 3,
+) -> Optional[float]:
+    """Pearson correlation between two items over their co-rating users.
+
+    Returns None when fewer than ``min_support`` users rated both items, or
+    when either co-rated sub-vector is constant (the correlation is
+    undefined there, which is not the same thing as zero). The tests hold
+    ``build_item_graph``'s blocked scan equal to this pairwise reference.
+    """
+    if min_support < 2:
+        raise ValueError("min_support must be at least 2")
+    shared = ratings_i.keys() & ratings_j.keys()
+    n = len(shared)
+    if n < min_support:
+        return None
+    x = np.array([ratings_i[u] for u in sorted(shared)])
+    y = np.array([ratings_j[u] for u in sorted(shared)])
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return None
+    num = n * float(x @ y) - float(x.sum()) * float(y.sum())
+    var_x = n * float(x @ x) - float(x.sum()) ** 2
+    var_y = n * float(y @ y) - float(y.sum()) ** 2
+    if var_x <= 0 or var_y <= 0:
+        return None
+    r = num / np.sqrt(var_x * var_y)
+    return float(min(1.0, max(-1.0, r)))
 
 
 def analytic_gradient(graph: ItemGraph, values: np.ndarray, free, config) -> np.ndarray:

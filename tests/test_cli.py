@@ -51,8 +51,11 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="no_such_knob"):
             ExperimentConfig.from_file(str(path))
 
-    # the line search's first step is fixed and restarts are gone: neither is a setting
-    @pytest.mark.parametrize("line", ["initial_step=0.2", "multi_start=4"])
+    # the line search's first step, the stop tolerance and the source threshold are fixed and
+    # restarts are gone: none is a setting
+    @pytest.mark.parametrize(
+        "line", ["initial_step=0.2", "multi_start=4", "objective_rel_tol=1e-6", "source_tolerance=0.01"]
+    )
     def test_removed_step_keys_rejected(self, tmp_path, line):
         path = tmp_path / "old.cfg"
         path.write_text(f"# written before the key was removed\nthreshold=0.9\n{line}\n", encoding="utf-8")
@@ -61,10 +64,19 @@ class TestConfigFile:
         key = line.partition("=")[0]
         assert str(err.value) == f"{path}:3: unknown config key '{key}'"
 
-    @pytest.mark.parametrize("flag", [["--backtrack-factor", "0.3"], ["--multi-start", "4"]], ids=lambda f: f[0])
-    def test_removed_step_flag_rejected(self, capsys, flag):
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            pytest.param("evaluate", ["--backtrack-factor", "0.3"], id="--backtrack-factor"),
+            pytest.param("evaluate", ["--multi-start", "4"], id="--multi-start"),
+            *(pytest.param(command, [flag, "0.01"], id=f"{command} {flag}")
+              for command in ("evaluate", "predict", "toy") for flag in ("--objective-rel-tol", "--source-tolerance")),
+        ],
+    )
+    def test_removed_step_flag_rejected(self, capsys, command, flag):
+        args = ["toy", "ladder26", "sfr"] if command == "toy" else [command, "--toy", "ladder26"]
         with pytest.raises(SystemExit) as exit_info:
-            main(["evaluate", "--toy", "ladder26", *flag])
+            main([*args, *flag])
         assert exit_info.value.code == 2
         assert flag[0] in capsys.readouterr().err
 
@@ -186,13 +198,12 @@ class TestEvaluateCommand:
         [
             (("--smoothing-eps", "nan"), "smoothing_eps must be positive and finite"),
             (("--smoothing-eps", "inf"), "smoothing_eps must be positive and finite"),
-            (("--source-tolerance", "nan"), "source_tolerance must be positive and finite"),
             (("--jobs", "0"), "jobs must be at least 1, got 0"),
             (("--jobs", "-3"), "jobs must be at least 1, got -3"),
             (("--methods", ","), "no method given (choose from knn, hcp and sfr)"),
             (("--methods", ""), "no method given (choose from knn, hcp and sfr)"),
         ],
-        ids=["eps-nan", "eps-inf", "tolerance-nan", "jobs-0", "jobs-negative", "methods-comma", "methods-empty"],
+        ids=["eps-nan", "eps-inf", "jobs-0", "jobs-negative", "methods-comma", "methods-empty"],
     )
     def test_bad_setting_fails_labelled(self, tmp_path, capsys, flag, message):
         out = tmp_path / "out"
@@ -420,7 +431,7 @@ class TestToyCommand:
 
 class TestEachCommandReadsItsSettings:
     GRAPH = {"--dataset", "--format", "--c-low", "--c-high", "--threshold", "--min-support"}
-    SOLVER = {"--p", "--smoothing-eps", "--max-iterations", "--objective-rel-tol", "--source-tolerance"}
+    SOLVER = {"--p", "--smoothing-eps", "--max-iterations"}
     RUN = GRAPH | {"--fraction", "--seed", "--toy", "--methods", "--jobs", "--output-dir"}
 
     @pytest.mark.parametrize(
@@ -429,7 +440,7 @@ class TestEachCommandReadsItsSettings:
             ("build-graph", GRAPH | {"--output-dir"}),
             ("examine", GRAPH | {"--coverage", "--min-neighbor-ratings", "--output-dir"}),
             ("evaluate", RUN | SOLVER),
-            ("predict", RUN | SOLVER - {"--source-tolerance"}),
+            ("predict", RUN | SOLVER),
             ("toy", SOLVER),
         ],
         ids=["build-graph", "examine", "evaluate", "predict", "toy"],

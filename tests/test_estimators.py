@@ -24,7 +24,7 @@ from rategraph import (
 )
 from rategraph import estimators
 from rategraph.evaluation import BoundClass, classify_bound
-from rategraph.graph import CsrArrays, _apply
+from rategraph.graph import SOURCE_TOLERANCE, CsrArrays, _apply
 from rategraph.synthetic import tent_ring_dataset
 from tests.conftest import analytic_gradient, graph_with_gaps, random_connected_graph, random_observed
 
@@ -594,7 +594,7 @@ def _reference_descent(start, p_mat, pt_mat, config, flags=None):
         if budget is None:
             return x, used, False
         x, iters, stage_converged = _reference_spg_stage(
-            x, start.free_idx, start.rows, p_mat, pt_mat, config, eps, budget, config.objective_rel_tol
+            x, start.free_idx, start.rows, p_mat, pt_mat, config, eps, budget, estimators._OBJECTIVE_REL_TOL
         )
         used += iters
         converged = converged and stage_converged
@@ -703,7 +703,7 @@ class TestSpgStage:
         p_mat, pt_mat = _walk_pair(graph)
         for start, mine in zip(starts, got):
             want = _reference_spg_stage(start.warm, start.free_idx, start.rows, p_mat, pt_mat, cfg,
-                                        cfg.smoothing_eps, cfg.max_iterations, cfg.objective_rel_tol)
+                                        cfg.smoothing_eps, cfg.max_iterations, estimators._OBJECTIVE_REL_TOL)
             assert mine[0].tobytes() == want[0].tobytes()
             assert mine[1:] == want[1:]
         assert [start.warm.tobytes() for start in starts] == before
@@ -967,7 +967,7 @@ class TestSecondDifferenceOperators:
             rows &= defined
             vec = np.where(rows, vec, 0.0)
             s = p_mat @ vec - vec
-            assert rec.diagnostics.source_count == int(np.sum(np.abs(s[rows]) > cfg.source_tolerance))
+            assert rec.diagnostics.source_count == int(np.sum(np.abs(s[rows]) > SOURCE_TOLERANCE))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
@@ -1205,18 +1205,12 @@ class TestSolverConfig:
             {"p": 1.0},
             {"smoothing_eps": 0.0},
             {"max_iterations": 0},
-            {"objective_rel_tol": 0.0},
-            {"source_tolerance": 0.0},
             {"bounds": (5, 1)},
             # NaN fails every comparison, so a check written as `value <= 0` lets it through
             {"smoothing_eps": math.nan},
             {"smoothing_eps": math.inf},
             {"max_iterations": math.nan},
             {"max_iterations": math.inf},
-            {"objective_rel_tol": math.nan},
-            {"objective_rel_tol": math.inf},
-            {"source_tolerance": math.nan},
-            {"source_tolerance": math.inf},
             # a float budget is shared out among the stages in fractions, and True ran as 1
             {"max_iterations": 2.5},
             {"max_iterations": 10.0},
@@ -1246,9 +1240,9 @@ class TestSolverConfig:
         with pytest.raises(FrozenInstanceError):
             cfg.p = 0.25
 
-    def test_six_settings(self):
+    def test_four_settings(self):
         names = [f.name for f in fields(SolverConfig)]
-        assert names == ["bounds", "p", "smoothing_eps", "max_iterations", "objective_rel_tol", "source_tolerance"]
+        assert names == ["bounds", "p", "smoothing_eps", "max_iterations"]
 
 
 class TestL0Oracle:

@@ -443,6 +443,16 @@ class TestEvaluate:
         want = evaluate(["knn", "hcp"], split, fix.graph, cfg).to_json()
         assert evaluate(["knn", "hcp"], split, fix.graph, cfg, jobs=np.int64(1)).to_json() == want
 
+    def test_solver_bounds_other_than_the_ratings_rejected(self, ring_panel):
+        # sfr would keep its estimates in the wrong box and report a plausible RMSE
+        split, graph = ring_panel
+        message = r"^solver bounds \(-3, 9\) differ from the ratings' bounds \(1\.0, 5\.0\)$"
+        with pytest.raises(ValueError, match=message):
+            evaluate(["sfr"], split, graph, SolverConfig(bounds=(-3, 9)))
+        # the same box written as ints is the same box
+        want = evaluate(["knn"], split, graph, SolverConfig(bounds=(1.0, 5.0))).to_json()
+        assert evaluate(["knn"], split, graph, SolverConfig(bounds=(1, 5))).to_json() == want
+
 
 @pytest.fixture(scope="module")
 def small_tent():
