@@ -43,9 +43,9 @@ print(f"{'SFR':>8}{sfr.estimates['v1']:>14.2f}{sfr.estimates['v26']:>14.2f}   {r
 
 # where did the recovered function put its curvature?
 full = np.array([sfr.estimates.get(n, fix.observed.get(n)) for n in graph.items])
-field = rg.second_derivative(graph, full)
-sources = [graph.items[i] for i in field.sources()]
-curvature = [round(float(field.values[graph.item_index[s]]), 3) for s in sources]
+second = rg.second_derivative(graph, full)
+sources = [graph.items[i] for i in rg.sources(second)]
+curvature = [round(float(second[graph.item_index[s]]), 3) for s in sources]
 print(f"\nSFR source set: {sources} (grad2 = {curvature})")
 
 # the exhaustive oracle agrees this is the unique 2-source completion

@@ -24,7 +24,7 @@ from . import data as data_mod
 from . import evaluation as eval_mod
 from .data import RatingMatrix, Split, ToyFixture, ladder_toy_26, parse_ratings, split_ratings, square_toy
 from .estimators import ConvergenceError, SolverConfig, predict_hcp, predict_knn, predict_sfr
-from .graph import ItemGraph, _breaks_line, build_item_graph, second_derivative, serialize_graph
+from .graph import ItemGraph, _breaks_line, build_item_graph, second_derivative, serialize_graph, sources
 
 __all__ = ["ExperimentConfig", "main"]
 
@@ -258,8 +258,8 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
     for name, val in rec.estimates.items():
         full[graph.item_index[name]] = val
     have_all = np.all(np.isfinite(full[graph.degree > 0]))
-    field = second_derivative(graph, full) if have_all else None
-    src = set(field.sources()) if field is not None else set()
+    second = second_derivative(graph, full) if have_all else None
+    src = set(sources(second)) if second is not None else set()
 
     print(f"{'item':<6}{'truth':>8}{'observed':>10}{'estimate':>10}{'grad2':>10}  source")
     for i, name in enumerate(graph.items):
@@ -268,7 +268,7 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
         obs = "yes" if name in fix.observed else "-"
         est = rec.estimates.get(name)
         e = f"{est:.2f}" if est is not None else "?"
-        g2 = f"{field.values[i]:.3f}" if field is not None and not np.isnan(field.values[i]) else "-"
+        g2 = f"{second[i]:.3f}" if second is not None and not np.isnan(second[i]) else "-"
         flag = "*" if i in src else "-"
         print(f"{name:<6}{t:>8}{obs:>10}{e:>10}{g2:>10}  {flag}")
     if rec.abstentions:

@@ -36,7 +36,7 @@ try:
 except ImportError:
     from numpy.core.umath import clip as _clip
 
-from .graph import SOURCE_TOLERANCE, CsrArrays, ItemGraph, _apply, _defined_values
+from .graph import CsrArrays, ItemGraph, _apply, _defined_values, sources
 
 __all__ = [
     "ConvergenceError",
@@ -630,12 +630,11 @@ def predict_sfr(
     # the observed targets, the only solved items that need not be rows, are not read from values
     values = np.full(graph.item_count, np.nan)
     values[start.rows] = best[start.rows]
-    # a row's second derivative reads only items that are rows themselves
-    source_count = int(np.count_nonzero(np.abs(best_s) > SOURCE_TOLERANCE))
     diag = SolverDiagnostics(
         iterations_used=iterations,
         final_objective=best_obj ** (1.0 / config.p),
-        source_count=source_count,
+        # a row's second derivative reads only items that are rows themselves
+        source_count=sources(best_s).size,
         converged=converged,
     )
     return _assemble(graph, observed, targets, values, diag)

@@ -15,7 +15,6 @@ second derivative and are excluded from all solves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, NamedTuple, Optional
 
 import numpy as np
@@ -27,10 +26,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "ItemGraph",
-    "SecondDerivativeField",
     "build_item_graph",
     "second_derivative",
     "serialize_graph",
+    "sources",
 ]
 
 # Edge weights are quantized to this many decimals so that the TSV edge-list
@@ -232,22 +231,6 @@ def _minus_identity(mat: CsrArrays) -> CsrArrays:
     return CsrArrays(indptr, indices, data)
 
 
-@dataclass
-class SecondDerivativeField:
-    """Per-item second-derivative values; NaN where degree is zero.
-
-    Items whose absolute value exceeds ``source_tolerance`` are the sources
-    of the underlying rating function (its local interest centers).
-    """
-
-    values: np.ndarray
-    source_tolerance: float
-
-    def sources(self) -> np.ndarray:
-        vals = np.nan_to_num(self.values)
-        return np.flatnonzero(np.abs(vals) > self.source_tolerance)
-
-
 def build_item_graph(
     train: "RatingMatrix",
     threshold: float,
@@ -367,19 +350,24 @@ def _defined_values(graph: ItemGraph, values: np.ndarray) -> tuple[np.ndarray, n
     return np.where(defined, values, 0.0), np.flatnonzero(defined)
 
 
-def second_derivative(
-    graph: ItemGraph,
-    values: np.ndarray,
-    source_tolerance: float = SOURCE_TOLERANCE,
-) -> SecondDerivativeField:
-    """Discrete second derivative of a complete per-item vector.
+def second_derivative(graph: ItemGraph, values: np.ndarray) -> np.ndarray:
+    """Discrete second derivative of a complete per-item vector; NaN at degree-0 items.
 
     ``values`` must hold one finite number per item with positive degree;
-    entries at degree-0 items are ignored and come back NaN.
+    entries at degree-0 items are ignored.
     """
     safe, _ = _defined_values(graph, values)
     out = _apply(graph.second_difference_operators()[0], safe)
-    return SecondDerivativeField(np.where(graph.degree > 0, out, np.nan), source_tolerance)
+    return np.where(graph.degree > 0, out, np.nan)
+
+
+def sources(second: np.ndarray) -> np.ndarray:
+    """Positions whose second derivative exceeds ``SOURCE_TOLERANCE`` in absolute value.
+
+    These are the sources of the rating function (its local interest
+    centers). A NaN entry, a degree-0 item, is never a source.
+    """
+    return np.flatnonzero(np.abs(np.nan_to_num(second)) > SOURCE_TOLERANCE)
 
 
 # -- edge-list TSV serialization ----------------------------------------------

@@ -6,6 +6,10 @@ with the item graph goes through ``graph._apply`` (or, in the graph build,
 These scans of the package source fail a change that brings a scipy import,
 a scipy matrix or a raw kernel call into another module.
 
+Whether an item is a source is decided in one place, ``graph.sources``:
+another scan fails a change that reads ``graph.SOURCE_TOLERANCE`` anywhere
+else in the package.
+
 ``perfbench/spans.py`` times ``evaluate``'s calls to the estimators by
 swapping ``rategraph.evaluation``'s module attributes, and reads one
 ``predict_*`` span per user that a method scores; the last test holds
@@ -42,26 +46,35 @@ def _imported_modules(tree):
             yield node.module
 
 
-def _mentions_sparsetools(node):
+def _mentions(node, name):
     return any(
-        (isinstance(n, ast.Name) and n.id == "_sparsetools")
-        or (isinstance(n, ast.Attribute) and n.attr == "_sparsetools")
-        or (isinstance(n, ast.alias) and "_sparsetools" in n.name.split("."))
-        or (isinstance(n, ast.ImportFrom) and "_sparsetools" in (n.module or "").split("."))
+        (isinstance(n, ast.Name) and n.id == name)
+        or (isinstance(n, ast.Attribute) and n.attr == name)
+        or (isinstance(n, ast.alias) and name in n.name.split("."))
+        or (isinstance(n, ast.ImportFrom) and name in (n.module or "").split("."))
         for n in ast.walk(node)
     )
 
 
-def _sparsetools_owners(path):
-    """The top-level functions of a module that mention ``_sparsetools``, "<module>" standing for any
-    other statement that does; graph.py's one import of it is left out."""
+def _owners(path, name, exempt):
+    """The top-level functions of a module that mention ``name``, "<module>" standing for any other
+    statement that does; the statements of graph.py that ``exempt`` accepts are left out."""
     owners = set()
     for node in _tree(path).body:
-        if path.name == "graph.py" and ast.unparse(node) == "from scipy.sparse import _sparsetools":
+        if path.name == "graph.py" and exempt(node):
             continue
-        if _mentions_sparsetools(node):
+        if _mentions(node, name):
             owners.add(node.name if isinstance(node, ast.FunctionDef) else "<module>")
     return owners
+
+
+def _imports_sparsetools(node):
+    return ast.unparse(node) == "from scipy.sparse import _sparsetools"
+
+
+def _assigns_source_tolerance(node):
+    return (isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["SOURCE_TOLERANCE"]
+            and isinstance(node.value, ast.Constant))
 
 
 def test_scan_sees_the_package():
@@ -80,7 +93,17 @@ def test_only_graph_imports_scipy(path):
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_only_the_kernel_wrappers_name_sparsetools(path):
-    assert _sparsetools_owners(path) == (KERNEL_CALLERS if path.name == "graph.py" else set())
+    owners = _owners(path, "_sparsetools", _imports_sparsetools)
+    assert owners == (KERNEL_CALLERS if path.name == "graph.py" else set())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_only_graph_sources_reads_the_source_tolerance(path):
+    # predict_sfr and the CLI count sources with graph.sources, not with the constant
+    owners = _owners(path, "SOURCE_TOLERANCE", _assigns_source_tolerance)
+    if path.name == "graph.py":
+        assert sum(map(_assigns_source_tolerance, _tree(path).body)) == 1
+    assert owners == ({"sources"} if path.name == "graph.py" else set()), path.name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])

@@ -14,6 +14,7 @@ from rategraph import (
     parse_ratings,
     split_ratings,
     second_derivative,
+    sources,
     write_test_manifest,
 )
 
@@ -487,14 +488,14 @@ class TestLadderToy:
     def test_ground_truth_second_derivative(self, ladder):
         g = ladder.graph
         truth = np.array([ladder.ground_truth[name] for name in g.items])
-        field = second_derivative(g, truth)
+        second = second_derivative(g, truth)
         v1, v26 = g.item_index["v1"], g.item_index["v26"]
-        assert field.values[v1] == pytest.approx(1.0, abs=1e-12)
-        assert field.values[v26] == pytest.approx(-1.0, abs=1e-12)
+        assert second[v1] == pytest.approx(1.0, abs=1e-12)
+        assert second[v26] == pytest.approx(-1.0, abs=1e-12)
         interior = [k for k in range(26) if k not in (v1, v26)]
-        assert np.max(np.abs(field.values[interior])) < 1e-9
+        assert np.max(np.abs(second[interior])) < 1e-9
         # exactly two sources
-        assert set(field.sources()) == {v1, v26}
+        assert set(sources(second)) == {v1, v26}
 
 
 def _two_pass_intern(ids, index):

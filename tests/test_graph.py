@@ -15,6 +15,7 @@ from rategraph import (
     build_item_graph,
     second_derivative,
     serialize_graph,
+    sources,
     split_ratings,
 )
 from rategraph.graph import _dense_product
@@ -180,8 +181,8 @@ class TestSecondDerivative:
         for seed in range(5):
             rng = np.random.default_rng(seed)
             g = random_connected_graph(rng, 10)
-            field = second_derivative(g, np.full(10, 3.7))
-            assert np.max(np.abs(field.values[~np.isnan(field.values)])) < 1e-12
+            second = second_derivative(g, np.full(10, 3.7))
+            assert np.max(np.abs(second[~np.isnan(second)])) < 1e-12
 
     def test_square_at_harmonic_point(self, square):
         g = square.graph
@@ -190,16 +191,16 @@ class TestSecondDerivative:
         r[g.item_index["B"]] = 13.0 / 3.0
         r[g.item_index["C"]] = 3.0
         r[g.item_index["D"]] = 11.0 / 3.0
-        field = second_derivative(g, r)
+        second = second_derivative(g, r)
         expect = {"A": -4.0 / 3.0, "B": 0.0, "C": 4.0 / 3.0, "D": 0.0}
         for name, val in expect.items():
-            assert field.values[g.item_index[name]] == pytest.approx(val, abs=1e-12)
+            assert second[g.item_index[name]] == pytest.approx(val, abs=1e-12)
 
     def test_ladder_ground_truth_sources(self, ladder):
         g = ladder.graph
         truth = np.array([ladder.ground_truth[n] for n in g.items])
-        field = second_derivative(g, truth, source_tolerance=1e-9)
-        names = {g.items[i] for i in field.sources()}
+        second = second_derivative(g, truth)
+        names = {g.items[i] for i in np.flatnonzero(np.abs(second) > 1e-9)}
         assert names == {"v1", "v26"}
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -210,8 +211,8 @@ class TestSecondDerivative:
         g = random_connected_graph(rng, n)
         r1, r2 = rng.normal(size=n), rng.normal(size=n)
         a, b = float(rng.uniform(-3, 3)), float(rng.uniform(-3, 3))
-        combined = second_derivative(g, a * r1 + b * r2).values
-        parts = a * second_derivative(g, r1).values + b * second_derivative(g, r2).values
+        combined = second_derivative(g, a * r1 + b * r2)
+        parts = a * second_derivative(g, r1) + b * second_derivative(g, r2)
         assert np.allclose(combined, parts, atol=1e-10, equal_nan=True)
 
     def test_degree_weighted_values_sum_to_zero(self):
@@ -220,27 +221,27 @@ class TestSecondDerivative:
             n = int(rng.integers(4, 20))
             g = random_connected_graph(rng, n)
             r = rng.uniform(1, 5, n)
-            field = second_derivative(g, r)
-            total = float(np.sum(g.degree[g.degree > 0] * field.values[g.degree > 0]))
-            scale = float(np.sum(np.abs(g.degree[g.degree > 0] * field.values[g.degree > 0]))) or 1.0
+            second = second_derivative(g, r)
+            total = float(np.sum(g.degree[g.degree > 0] * second[g.degree > 0]))
+            scale = float(np.sum(np.abs(g.degree[g.degree > 0] * second[g.degree > 0]))) or 1.0
             assert abs(total) / scale < 1e-9
 
     def test_isolated_item_is_nan(self):
         g = ItemGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0)])
-        field = second_derivative(g, np.array([1.0, 2.0, np.nan]), source_tolerance=0.0)
-        # a NaN is never a source, even where every nonzero value is one
-        assert sorted(field.sources()) == [g.item_index["a"], g.item_index["b"]]
-        assert np.isnan(field.values[g.item_index["c"]])
+        second = second_derivative(g, np.array([1.0, 2.0, np.nan]))
+        # a NaN is never a source, though both other values are
+        assert sorted(sources(second)) == [g.item_index["a"], g.item_index["b"]]
+        assert np.isnan(second[g.item_index["c"]])
 
     def test_nan_on_connected_item_rejected(self):
         g = ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0)])
         with pytest.raises(ValueError, match="finite"):
             second_derivative(g, np.array([1.0, np.nan]))
 
-    def test_default_source_tolerance_is_the_solvers(self):
-        g = ItemGraph.from_edges(["a", "b"], [("a", "b", 1.0)])
-        # predict_sfr counts its sources against the same module constant
-        assert second_derivative(g, np.array([1.0, 2.0])).source_tolerance == graph_module.SOURCE_TOLERANCE
+    def test_sources_exceed_the_tolerance_strictly(self):
+        # predict_sfr counts its sources with the same function
+        second = np.array([1e-3, -1e-3, 1.001e-3, -1.001e-3, np.nan, 0.0])
+        assert sources(second).tolist() == [2, 3]
 
 
 def _read_tsv(text):
