@@ -98,10 +98,12 @@ class EvaluationReport:
     are squared-residual sums of the kNN predictor over all classified test
     examples, one per class, so the four classes sum to the total exactly.
 
-    ``truth_rows`` holds one ``(method, bound_class, truth, count, rmse)``
-    tuple per row of ``rmse.tsv``, ``truth`` the row's key string; a
-    tuple is a fraction of the size of the dict :attr:`rmse_by_truth` builds
-    from it, and tent-ring ratings make one row per bound record.
+    ``truth_tsv`` holds the rows of ``rmse.tsv`` below its header, one
+    ``method, bound_class, truth, count, rmse`` line per row, ``truth`` the
+    row's key string: tent-ring ratings make one row per bound record, and
+    one string is under a quarter of the size of those rows as tuples.
+    :attr:`rmse_by_truth` parses it back on each read; a float's ``repr``
+    reads back as the same float.
     """
 
     n_test: int
@@ -115,28 +117,25 @@ class EvaluationReport:
     error_contribution_total: Optional[float]
     fallback_counts: dict[str, int]
     solver_stats: dict[str, dict[str, float]]
-    truth_rows: list[tuple[str, str, str, int, Optional[float]]] = field(default_factory=list)
+    truth_tsv: str
 
     @property
     def rmse_by_truth(self) -> list[dict[str, object]]:
-        """The rows of ``rmse.tsv`` as dicts, built from ``truth_rows`` on each read."""
+        """The rows of ``rmse.tsv`` as dicts, parsed from ``truth_tsv`` on each read."""
+        rows = (line.split("\t") for line in self.truth_tsv.splitlines())
         return [
-            {"method": m, "bound_class": cls, "truth_rating": truth, "count": count, "rmse": rmse}
-            for m, cls, truth, count, rmse in self.truth_rows
+            {"method": m, "bound_class": cls, "truth_rating": truth, "count": int(count), "rmse": float(rmse)}
+            for m, cls, truth, count, rmse in rows
         ]
 
     def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "truth_rows"}
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "truth_tsv"}
         payload["rmse_by_truth"] = self.rmse_by_truth
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def rmse_tsv(self) -> str:
         """Flat TSV of per-class RMSE with a truth-rating grouping key."""
-        lines = ["method\tbound_class\ttruth_rating\tcount\trmse"]
-        for m, cls, truth, count, rmse in self.truth_rows:
-            rendered = "" if rmse is None else repr(rmse)
-            lines.append(f"{m}\t{cls}\t{truth}\t{count}\t{rendered}")
-        return "\n".join(lines) + "\n"
+        return "method\tbound_class\ttruth_rating\tcount\trmse\n" + self.truth_tsv
 
 
 def _rmse(residuals: list[float]) -> Optional[float]:
@@ -369,11 +368,11 @@ def evaluate(
     groups = ("all", BoundClass.HIGHER.value, BoundClass.LOWER.value)
     rmse = {m: {k: _rmse(by_truth.get((m, k, "all"), [])) for k in groups} for m in methods}
     rmse_counts = {m: {k: len(by_truth.get((m, k, "all"), [])) for k in groups} for m in methods}
-    # rows sort by the key strings, so "10" lists before "9.5"
-    truth_rows = [
-        (m, cls, truth, len(res), _rmse(res))
+    # rows sort by the key strings, so "10" lists before "9.5"; a group is never empty, so every rmse is a float
+    truth_tsv = "".join(
+        f"{m}\t{cls}\t{truth}\t{len(res)}\t{_rmse(res)!r}\n"
         for (m, cls, truth), res in sorted(by_truth.items())
-    ]
+    )
     solver_stats: dict[str, dict[str, float]] = {}
     diags = [result.sfr_diag for result in results if result.sfr_diag is not None]
     if diags:
@@ -402,7 +401,7 @@ def evaluate(
         error_contribution_total=contribution["total"] if contribution else None,
         fallback_counts=fallback_counts,
         solver_stats=solver_stats,
-        truth_rows=truth_rows,
+        truth_tsv=truth_tsv,
     )
 
 

@@ -607,6 +607,23 @@ class TestCompactTruthRows:
         else:
             assert len(set(keys)) > 50
 
+    def test_rows_retain_a_quarter_of_the_tuples(self):
+        """On a 90-user ring120 knn report, the shape of a benchmark panel's, the rows' one string is at most a
+        quarter of the size of the same rows kept as ``(method, bound_class, truth, count, rmse)`` tuples."""
+        split = split_ratings(tent_ring_dataset(2024, 120, 40, 0.55), 0.8, seed=1)
+        keep = sorted({rec.user_id for rec in split.test})[:90]
+        split = Split(split.train, [rec for rec in split.test if rec.user_id in keep], split.fraction, split.seed)
+        graph = build_item_graph(split.train, threshold=0.9, min_support=3)
+        report = evaluate(["knn"], split, graph, SolverConfig(bounds=split.train.bounds))
+        rows = [tuple(row.values()) for row in report.rmse_by_truth]
+        assert len(rows) > 150
+        # a tuple list holds its tuples, each row's truth key and rmse float; the method and class strings and
+        # the "all" key are shared constants, and counts up to 256 are cached ints
+        tuples = sys.getsizeof(rows) + sum(
+            sys.getsizeof(row) + (row[2] != "all") * sys.getsizeof(row[2]) + sys.getsizeof(row[4]) for row in rows
+        )
+        assert sys.getsizeof(report.truth_tsv) <= tuples / 4
+
     def test_rmse_by_truth_is_read_only(self):
         split, fix = _toy_ladder_split()
         report = evaluate(["knn"], split, fix.graph, SolverConfig(bounds=fix.bounds))
