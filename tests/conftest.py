@@ -11,7 +11,9 @@ from rategraph.estimators import _gradients, _smoothed_sums
 # recorded by the tests themselves, printed after the run
 
 _ACCEPTANCE_DETAIL: list[str] = []
-_ACCEPTANCE_STATUS: dict[tuple[int, str], str] = {}
+# (order, label, node id) -> PASS, SKIP or FAIL
+_ACCEPTANCE_STATUS: dict[tuple[int, str, str], str] = {}
+_ACCEPTANCE_ROW = re.compile(r"TestCriterion(\d+)|TestSeedPanel")
 
 
 def record_acceptance(line: str) -> None:
@@ -21,20 +23,22 @@ def record_acceptance(line: str) -> None:
 def pytest_runtest_logreport(report):
     if "test_acceptance" not in report.nodeid:
         return
-    m = re.search(r"TestCriterion(\d+)", report.nodeid)
+    m = _ACCEPTANCE_ROW.search(report.nodeid)
     if not m:
         return
+    # the seed panel holds criterion 7's ordering at held-out seeds, so its row follows criterion 7's
+    order, label = (int(m.group(1)), f"criterion {m.group(1)}") if m.group(1) else (7, "seed panel")
     if report.when == "call" or (report.when == "setup" and report.skipped):
         status = "PASS" if report.passed else ("SKIP" if report.skipped else "FAIL")
-        _ACCEPTANCE_STATUS[(int(m.group(1)), report.nodeid)] = status
+        _ACCEPTANCE_STATUS[(order, label, report.nodeid)] = status
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus):
     if not _ACCEPTANCE_STATUS:
         return
     terminalreporter.section("acceptance criteria")
-    for (crit, nodeid), status in sorted(_ACCEPTANCE_STATUS.items()):
-        terminalreporter.line(f"criterion {crit}: {status}  [{nodeid.split('::')[-1]}]")
+    for (_, label, nodeid), status in sorted(_ACCEPTANCE_STATUS.items()):
+        terminalreporter.line(f"{label}: {status}  [{nodeid.split('::')[-1]}]")
     for line in _ACCEPTANCE_DETAIL:
         terminalreporter.line(line)
 
