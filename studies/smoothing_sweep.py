@@ -116,6 +116,72 @@ def cells(shape: str, seed: int, split_seed: int, eps_values):
         }
 
 
+def spread(values) -> str:
+    return f"{statistics.median(values):.4f} ({min(values):.4f}-{max(values):.4f})"
+
+
+def summarize(rows: list[dict], eps_values, default: float, quick: bool) -> None:
+    """Print the per-eps table, the per-method table at 1e-6 and the default, and the rule's outcome."""
+    by_eps = defaultdict(dict)
+    for r in rows:
+        by_eps[r["eps"]][r["shape"], r["seed"], r["split_seed"]] = r
+    baseline = {d: r["sfr"] for d, r in by_eps[BASELINE].items()}
+    summary = {}
+    for eps in eps_values:
+        worst, flagged = ladder(eps)
+        gain = criterion7(eps)
+        mine = by_eps[eps]
+        summary[eps] = {
+            "worst": worst, "flagged": flagged, "gain": gain,
+            "panel": all(mine[d]["sfr"] < mine[d]["hcp"] < mine[d]["knn"] for d in PANEL if d in mine),
+            "below": sum(r["sfr"] < baseline[d] for d, r in mine.items()),
+            "median": statistics.median(r["sfr"] for r in mine.values()),
+        }
+        s = summary[eps]
+        s["admissible"] = worst <= LADDER_BOUND and flagged == {"v1", "v26"} and gain >= 0.2 and s["panel"]
+
+    n_cells = len(baseline)
+    print(f"\n| eps | criterion 3 worst error (sources) | criterion 7 gain | seed panel | admissible "
+          f"| cells below 1e-6 (of {n_cells}) | sfr median, all cells | "
+          + " | ".join(f"{shape}: sfr median (min-max)" for shape in SHAPES)
+          + " | warm starts returned | mean iterations | sfr seconds |")
+    print("|---" * (7 + len(SHAPES) + 3) + "|")
+    for eps, s in summary.items():
+        per_shape = {shape: [r for d, r in by_eps[eps].items() if d[0] == shape] for shape in SHAPES}
+        cols = [f"{eps:g}", f"{s['worst']:.1e} ({len(s['flagged'])})",
+                f"{s['gain']:.1%}" if s["gain"] == s["gain"] else "fails",
+                "holds" if s["panel"] else "fails", "yes" if s["admissible"] else "no", str(s["below"]),
+                f"{s['median']:.4f}"]
+        cols += [spread([r["sfr"] for r in mine]) for mine in per_shape.values()]
+        cols += [" / ".join(f"{sum(r['returns'] for r in mine) / sum(r['users'] for r in mine):.1%}"
+                            for mine in per_shape.values()),
+                 " / ".join(f"{statistics.mean(r['iterations'] for r in mine):.0f}" for mine in per_shape.values()),
+                 " / ".join(f"{sum(r['seconds'] for r in mine):.1f}" for mine in per_shape.values())]
+        print("| " + " | ".join(cols) + " |")
+    print(f"\nThe last three columns read {' / '.join(SHAPES)}: the share of the users sfr scored, over every "
+          f"cell, whose warm start came back; the mean over the cells of each cell's mean iterations; and the "
+          f"seconds of sfr's evaluate calls, summed over the cells, from this one run.")
+
+    print("\n| shape | method | bound RMSE median (min-max) | RMSE / knn's, median (min-max) | below knn |")
+    print("|---|---|---|---|---|")
+    for shape in SHAPES:
+        datasets = [d for d in baseline if d[0] == shape]
+        knn = {d: by_eps[BASELINE][d]["knn"] for d in datasets}
+        columns = [("knn", BASELINE, "knn"), ("hcp", BASELINE, "hcp")]
+        columns += [(f"sfr at {eps:g}", eps, "sfr") for eps in sorted({BASELINE, default}) if eps in by_eps]
+        for label, eps, method in columns:
+            values = {d: by_eps[eps][d][method] for d in datasets}
+            versus = "- | -" if method == "knn" else (f"{spread([values[d] / knn[d] for d in datasets])} | "
+                                                      f"{sum(values[d] < knn[d] for d in datasets)}/{len(datasets)}")
+            print(f"| {shape} | {label} | {spread(list(values.values()))} | {versus} |")
+
+    qualifying = [eps for eps, s in summary.items() if eps != BASELINE and s["admissible"] and s["below"] == n_cells]
+    chosen = min(qualifying, key=lambda eps: summary[eps]["median"]) if qualifying else BASELINE
+    print(f"\nqualifying (admissible, sfr below 1e-6's at all {n_cells} cells): "
+          f"{', '.join(f'{eps:g}' for eps in qualifying) or 'none'}; the rule picks {chosen:g}"
+          f"{' (quick run: nothing is decided)' if quick else ''}; the default is {default:g}")
+
+
 def main(argv) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true", help="one seed per shape, 1e-6 and the default only")
@@ -134,45 +200,7 @@ def main(argv) -> int:
         for row in cells(*dataset, eps_values):
             rows.append(row)
             print("\t".join(format(row[c], ".4f") if c == "seconds" else str(row[c]) for c in columns), flush=True)
-
-    by = {(r["shape"], r["seed"], r["split_seed"], r["eps"]): r for r in rows}
-    baseline = {key[:3]: r["sfr"] for key, r in by.items() if key[3] == BASELINE}
-    summary = {}
-    for eps in eps_values:
-        worst, flagged = ladder(eps)
-        gain = criterion7(eps)
-        mine = {key[:3]: r for key, r in by.items() if key[3] == eps}
-        panel = all(mine[d]["sfr"] < mine[d]["hcp"] < mine[d]["knn"] for d in PANEL if d in mine)
-        admissible = worst <= LADDER_BOUND and flagged == {"v1", "v26"} and gain >= 0.2 and panel
-        below = sum(r["sfr"] < baseline[d] for d, r in mine.items())
-        summary[eps] = {"worst": worst, "flagged": flagged, "gain": gain, "panel": panel, "admissible": admissible,
-                        "below": below, "median": statistics.median(r["sfr"] for r in mine.values()), "rows": mine}
-
-    print("\n| eps | criterion 3 worst error (sources) | criterion 7 gain | seed panel | admissible | "
-          + " | ".join(f"{s}: sfr bound RMSE median (min-max); below 1e-6; sfr < knn; returns; mean iterations; s"
-                       for s in SHAPES) + " |")
-    print("|---" * (5 + len(SHAPES)) + "|")
-    for eps, s in summary.items():
-        cols = [f"{eps:g}", f"{s['worst']:.1e} ({len(s['flagged'])})", f"{s['gain']:.1%}",
-                "holds" if s["panel"] else "fails", "yes" if s["admissible"] else "no"]
-        for shape in SHAPES:
-            mine = [r for d, r in s["rows"].items() if d[0] == shape]
-            sfr = [r["sfr"] for r in mine]
-            cols.append(f"{statistics.median(sfr):.4f} ({min(sfr):.4f}-{max(sfr):.4f}); "
-                        f"{sum(r['sfr'] < baseline[d] for d, r in s['rows'].items() if d[0] == shape)}/{len(mine)}; "
-                        f"{sum(r['sfr'] < r['knn'] for r in mine)}/{len(mine)}; "
-                        f"{sum(r['returns'] for r in mine)}/{sum(r['users'] for r in mine)}; "
-                        f"{statistics.mean(r['iterations'] for r in mine):.0f}; "
-                        f"{sum(r['seconds'] for r in mine):.1f}")
-        print("| " + " | ".join(cols) + " |")
-
-    n_cells = len(baseline)
-    qualifying = [eps for eps, s in summary.items()
-                  if eps != BASELINE and s["admissible"] and s["below"] == n_cells]
-    chosen = min(qualifying, key=lambda eps: summary[eps]["median"]) if qualifying else BASELINE
-    print(f"\nqualifying (admissible, sfr below 1e-6's at all {n_cells} cells): "
-          f"{', '.join(f'{eps:g}' for eps in qualifying) or 'none'}; the rule picks {chosen:g}"
-          f"{' (quick run: nothing is decided)' if args.quick else ''}; the default is {default:g}")
+    summarize(rows, eps_values, default, args.quick)
     return 0
 
 

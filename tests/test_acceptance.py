@@ -339,6 +339,20 @@ class TestAcceptanceTable:
             conftest._ACCEPTANCE_STATUS.update(saved)
 
 
+class TestSmoothingDefault:
+    """The default smoothing floor was chosen on held-out seeds (studies/smoothing_sweep.py); at the first
+    five ring120-shaped ones it still lowers sfr's bound RMSE below the old floor's, 1e-6."""
+
+    def test_default_beats_the_old_floor(self):
+        for seed in range(2025, 2030):
+            split = split_ratings(tent_ring_dataset(seed), 0.8, seed=1)
+            graph = build_item_graph(split.train, threshold=0.9, min_support=3)
+            rmse = {eps: evaluate(["sfr"], split, graph, SolverConfig(bounds=(1.0, 5.0), smoothing_eps=eps),
+                                  jobs=1).rmse["sfr"]["all"]
+                    for eps in (SolverConfig.smoothing_eps, 1e-6)}
+            assert rmse[SolverConfig.smoothing_eps] < rmse[1e-6], f"seed {seed}: {rmse}"
+
+
 class TestCriterion8LinearityExam:
     def test_movielens_modal_zero_bin(self):
         path = _ml1m_path()

@@ -617,9 +617,10 @@ class TestEpsSchedule:
         [
             (1.0, [1.0]),
             (2.5, [2.5]),
-            (SolverConfig(bounds=(1.0, 5.0)).smoothing_eps, [1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
+            (1e-6, [1.0, 0.1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6]),
+            (SolverConfig(bounds=(1.0, 5.0)).smoothing_eps, [1.0, 0.1, 1e-2]),
         ],
-        ids=["one", "above-one", "default"],
+        ids=["one", "above-one", "seven-stages", "default"],
     )
     def test_stages(self, eps, stages):
         got = estimators._eps_schedule(eps)
