@@ -29,14 +29,16 @@ with the lowest median over those cells is chosen; if none qualifies, 1e-6
 stays. With ``--quick`` the rule runs on the few cells made and decides
 nothing; it only keeps the script running.
 
-Standard output is the cells as TSV, then a Markdown summary per eps and
-the rule's outcome. Progress goes to standard error.
+Standard output is the cells as TSV, then two Markdown tables - one row
+per eps, and each method's bound RMSE and its ratio to knn's at 1e-6 and
+at the default - and the rule's outcome. Progress goes to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import math
 import statistics
 import sys
 import time
@@ -131,14 +133,13 @@ def summarize(rows: list[dict], eps_values, default: float, quick: bool) -> None
         worst, flagged = ladder(eps)
         gain = criterion7(eps)
         mine = by_eps[eps]
+        panel = all(mine[d]["sfr"] < mine[d]["hcp"] < mine[d]["knn"] for d in PANEL if d in mine)
         summary[eps] = {
-            "worst": worst, "flagged": flagged, "gain": gain,
-            "panel": all(mine[d]["sfr"] < mine[d]["hcp"] < mine[d]["knn"] for d in PANEL if d in mine),
+            "worst": worst, "flagged": flagged, "gain": gain, "panel": panel,
+            "admissible": worst <= LADDER_BOUND and flagged == {"v1", "v26"} and gain >= 0.2 and panel,
             "below": sum(r["sfr"] < baseline[d] for d, r in mine.items()),
             "median": statistics.median(r["sfr"] for r in mine.values()),
         }
-        s = summary[eps]
-        s["admissible"] = worst <= LADDER_BOUND and flagged == {"v1", "v26"} and gain >= 0.2 and s["panel"]
 
     n_cells = len(baseline)
     print(f"\n| eps | criterion 3 worst error (sources) | criterion 7 gain | seed panel | admissible "
@@ -149,7 +150,7 @@ def summarize(rows: list[dict], eps_values, default: float, quick: bool) -> None
     for eps, s in summary.items():
         per_shape = {shape: [r for d, r in by_eps[eps].items() if d[0] == shape] for shape in SHAPES}
         cols = [f"{eps:g}", f"{s['worst']:.1e} ({len(s['flagged'])})",
-                f"{s['gain']:.1%}" if s["gain"] == s["gain"] else "fails",
+                "fails" if math.isnan(s["gain"]) else f"{s['gain']:.1%}",
                 "holds" if s["panel"] else "fails", "yes" if s["admissible"] else "no", str(s["below"]),
                 f"{s['median']:.4f}"]
         cols += [spread([r["sfr"] for r in mine]) for mine in per_shape.values()]
