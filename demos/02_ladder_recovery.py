@@ -44,7 +44,7 @@ print(f"{'SFR':>8}{sfr.estimates['v1']:>14.2f}{sfr.estimates['v26']:>14.2f}   {r
 # where did the recovered function put its curvature?
 full = np.array([sfr.estimates.get(n, fix.observed.get(n)) for n in graph.items])
 second = rg.second_derivative(graph, full)
-sources = [graph.items[i] for i in rg.sources(second)]
+sources = [graph.items[i] for i in rg.sources(second, cfg.smoothing_eps)]
 curvature = [round(float(second[graph.item_index[s]]), 3) for s in sources]
 print(f"\nSFR source set: {sources} (grad2 = {curvature})")
 

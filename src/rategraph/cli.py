@@ -259,7 +259,7 @@ def cmd_toy(cfg: ExperimentConfig, which: str, method: str) -> int:
         full[graph.item_index[name]] = val
     have_all = np.all(np.isfinite(full[graph.degree > 0]))
     second = second_derivative(graph, full) if have_all else None
-    src = set(sources(second)) if second is not None else set()
+    src = set(sources(second, solver.smoothing_eps)) if second is not None else set()
 
     print(f"{'item':<6}{'truth':>8}{'observed':>10}{'estimate':>10}{'grad2':>10}  source")
     for i, name in enumerate(graph.items):

@@ -640,7 +640,7 @@ def predict_sfr(
         iterations_used=iterations,
         final_objective=best_obj ** (1.0 / config.p),
         # a row's second derivative reads only items that are rows themselves
-        source_count=sources(best_s).size,
+        source_count=sources(best_s, eps).size,
         converged=converged,
     )
     return _assemble(graph, observed, targets, values, diag)

@@ -35,8 +35,6 @@ __all__ = [
 # Edge weights are quantized to this many decimals so that the TSV edge-list
 # serialization (which writes as many) is exactly lossless.
 WEIGHT_DECIMALS = 12
-# a second derivative larger than this in absolute value marks a source
-SOURCE_TOLERANCE = 1e-3
 # item columns per block of build_item_graph; bounds its dense work arrays
 _BLOCK = 512
 
@@ -361,13 +359,15 @@ def second_derivative(graph: ItemGraph, values: np.ndarray) -> np.ndarray:
     return np.where(graph.degree > 0, out, np.nan)
 
 
-def sources(second: np.ndarray) -> np.ndarray:
-    """Positions whose second derivative exceeds ``SOURCE_TOLERANCE`` in absolute value.
+def sources(second: np.ndarray, floor: float) -> np.ndarray:
+    """Positions whose second derivative exceeds ``floor`` in absolute value: the rating function's sources.
 
-    These are the sources of the rating function (its local interest
-    centers). A NaN entry, a degree-0 item, is never a source.
+    Callers pass the solver's ``smoothing_eps``, at or below which the smoothed objective treats a
+    second derivative as flat. A NaN entry, a degree-0 item, is never a source.
     """
-    return np.flatnonzero(np.abs(np.nan_to_num(second)) > SOURCE_TOLERANCE)
+    if not 0 < floor < math.inf:
+        raise ValueError(f"source floor must be positive and finite, got {floor!r}")
+    return np.flatnonzero(np.abs(np.nan_to_num(second)) > floor)
 
 
 # -- edge-list TSV serialization ----------------------------------------------

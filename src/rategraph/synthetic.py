@@ -8,14 +8,11 @@ from .data import RatingMatrix
 
 __all__ = ["tent_ring_dataset"]
 
+# half-width of the uniform noise on every rating
+NOISE = 0.05
 
-def tent_ring_dataset(
-    seed: int,
-    n_users: int = 120,
-    n_items: int = 40,
-    density: float = 0.55,
-    noise: float = 0.05,
-) -> RatingMatrix:
+
+def tent_ring_dataset(seed: int, n_users: int = 120, n_items: int = 40, density: float = 0.55) -> RatingMatrix:
     """Users with tent-shaped preferences over a ring of items.
 
     Each user rates 5 stars at a loved pole, sloping linearly down to 1
@@ -34,7 +31,7 @@ def tent_ring_dataset(
     for u in range(n_users):
         phi = 2 * np.pi * rng.integers(0, n_items) / n_items
         dist = np.abs((theta - phi + np.pi) % (2 * np.pi) - np.pi)
-        vals = np.clip(5.0 - (4.0 / np.pi) * dist + rng.uniform(-noise, noise, n_items), 1, 5)
+        vals = np.clip(5.0 - (4.0 / np.pi) * dist + rng.uniform(-NOISE, NOISE, n_items), 1, 5)
         rated = np.flatnonzero(rng.uniform(size=n_items) < density)
         users += [f"u{u}"] * rated.size
         items += [f"i{i}" for i in rated]

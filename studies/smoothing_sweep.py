@@ -75,7 +75,7 @@ def ladder(eps: float) -> tuple[float, set[str]]:
     rec = predict_sfr(fix.graph, fix.observed, fix.graph.items, SolverConfig(bounds=fix.bounds, smoothing_eps=eps))
     worst = max(abs(rec.estimates[n] - fix.ground_truth[n]) for n in fix.graph.items if n not in fix.observed)
     full = np.array([rec.estimates[n] for n in fix.graph.items])
-    return worst, {fix.graph.items[i] for i in sources(second_derivative(fix.graph, full))}
+    return worst, {fix.graph.items[i] for i in sources(second_derivative(fix.graph, full), eps)}
 
 
 def criterion7(eps: float) -> float:

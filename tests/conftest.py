@@ -4,7 +4,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from rategraph import ItemGraph, RatingMatrix, ladder_toy_26, square_toy
+from rategraph import ItemGraph, RatingMatrix, ladder_toy_26, second_derivative, square_toy
 from rategraph.estimators import _gradients, _smoothed_sums
 
 # -- acceptance reporting: one status line per criterion, plus detail lines
@@ -148,6 +148,14 @@ def pearson_similarity(
         return None
     r = num / np.sqrt(var_x * var_y)
     return float(min(1.0, max(-1.0, r)))
+
+
+def smoothed_sum(graph: ItemGraph, values: np.ndarray, config) -> float:
+    """Independent evaluation of the objective the gradient differentiates."""
+    s = second_derivative(graph, values)
+    s = s[~np.isnan(s)]
+    eps, p = config.smoothing_eps, config.p
+    return float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p))
 
 
 def analytic_gradient(graph: ItemGraph, values: np.ndarray, free, config) -> np.ndarray:

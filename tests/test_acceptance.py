@@ -33,7 +33,7 @@ from rategraph import (
 )
 from rategraph.synthetic import tent_ring_dataset
 from tests import conftest
-from tests.conftest import analytic_gradient, random_connected_graph, random_observed, record_acceptance
+from tests.conftest import analytic_gradient, random_connected_graph, random_observed, record_acceptance, smoothed_sum
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -115,7 +115,7 @@ class TestCriterion3LadderSfr:
         assert rec.estimates["v1"] == pytest.approx(2.0, abs=1e-2)
         assert rec.estimates["v26"] == pytest.approx(9.0, abs=1e-2)
         full = np.array([rec.estimates[n] for n in ladder.graph.items])
-        flagged = {ladder.graph.items[i] for i in sources(second_derivative(ladder.graph, full))}
+        flagged = {ladder.graph.items[i] for i in sources(second_derivative(ladder.graph, full), cfg.smoothing_eps)}
         assert flagged == {"v1", "v26"}
         assert rec.diagnostics.source_count == 2
         assert elapsed < 5.0
@@ -142,13 +142,6 @@ class TestCriterion4LadderOracle:
 # -- randomized invariants ------------------------------------------------------------
 
 
-def _smoothed_sum(graph, values, config):
-    s = second_derivative(graph, values)
-    s = s[~np.isnan(s)]
-    eps, p = config.smoothing_eps, config.p
-    return float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p))
-
-
 class TestCriterion5GradientCheck:
     def test_hundred_seeded_instances(self):
         worst = 0.0
@@ -170,7 +163,7 @@ class TestCriterion5GradientCheck:
                 up, down = r.copy(), r.copy()
                 up[i] += 1e-6
                 down[i] -= 1e-6
-                fd[k] = (_smoothed_sum(g, up, cfg) - _smoothed_sum(g, down, cfg)) / 2e-6
+                fd[k] = (smoothed_sum(g, up, cfg) - smoothed_sum(g, down, cfg)) / 2e-6
             rel = np.abs(analytic - fd) / np.maximum.reduce(
                 [np.abs(analytic), np.abs(fd), np.full_like(fd, 1e-8)]
             )

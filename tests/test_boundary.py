@@ -6,10 +6,6 @@ with the item graph goes through ``graph._apply`` (or, in the graph build,
 These scans of the package source fail a change that brings a scipy import,
 a scipy matrix or a raw kernel call into another module.
 
-Whether an item is a source is decided in one place, ``graph.sources``:
-another scan fails a change that reads ``graph.SOURCE_TOLERANCE`` anywhere
-else in the package.
-
 ``perfbench/spans.py`` times ``evaluate``'s calls to the estimators by
 swapping ``rategraph.evaluation``'s module attributes, and reads one
 ``predict_*`` span per user that a method scores; the last test holds
@@ -72,11 +68,6 @@ def _imports_sparsetools(node):
     return ast.unparse(node) == "from scipy.sparse import _sparsetools"
 
 
-def _assigns_source_tolerance(node):
-    return (isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["SOURCE_TOLERANCE"]
-            and isinstance(node.value, ast.Constant))
-
-
 def test_scan_sees_the_package():
     names = {path.name for path in MODULES}
     assert {"graph.py", "estimators.py", "evaluation.py", "cli.py", "data.py"} <= names
@@ -95,15 +86,6 @@ def test_only_graph_imports_scipy(path):
 def test_only_the_kernel_wrappers_name_sparsetools(path):
     owners = _owners(path, "_sparsetools", _imports_sparsetools)
     assert owners == (KERNEL_CALLERS if path.name == "graph.py" else set())
-
-
-@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
-def test_only_graph_sources_reads_the_source_tolerance(path):
-    # predict_sfr and the CLI count sources with graph.sources, not with the constant
-    owners = _owners(path, "SOURCE_TOLERANCE", _assigns_source_tolerance)
-    if path.name == "graph.py":
-        assert sum(map(_assigns_source_tolerance, _tree(path).body)) == 1
-    assert owners == ({"sources"} if path.name == "graph.py" else set()), path.name
 
 
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])

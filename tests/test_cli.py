@@ -212,6 +212,15 @@ class TestEvaluateCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["evaluate", "predict"])
+    def test_toy_without_ground_truth_writes_nothing(self, tmp_path, capsys, command):
+        # the square toy has no held-out ratings to score
+        out = tmp_path / "out"
+        code, stdout, err = _run(capsys, command, "--toy", "square", "--output-dir", str(out))
+        assert (code, stdout, err) == (1, "", f"{command}: error: toy fixture has no ground truth to test against\n")
+        assert not out.exists()
+
+
 class TestSolverFailure:
     """A solver failure exits 1 with one stage-labelled line that names the user and the estimator."""
 

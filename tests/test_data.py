@@ -11,6 +11,7 @@ from rategraph import (
     RatingMatrix,
     RatingParseError,
     RatingRecord,
+    SolverConfig,
     parse_ratings,
     split_ratings,
     second_derivative,
@@ -495,7 +496,7 @@ class TestLadderToy:
         interior = [k for k in range(26) if k not in (v1, v26)]
         assert np.max(np.abs(second[interior])) < 1e-9
         # exactly two sources
-        assert set(sources(second)) == {v1, v26}
+        assert set(sources(second, SolverConfig.smoothing_eps)) == {v1, v26}
 
 
 def _two_pass_intern(ids, index):

@@ -20,21 +20,14 @@ from rategraph import (
     predict_sfr,
     second_derivative,
     sfr_objective,
+    sources,
     split_ratings,
 )
 from rategraph import estimators
 from rategraph.evaluation import BoundClass, classify_bound
-from rategraph.graph import SOURCE_TOLERANCE, CsrArrays, _apply
+from rategraph.graph import CsrArrays, _apply
 from rategraph.synthetic import tent_ring_dataset
-from tests.conftest import analytic_gradient, graph_with_gaps, random_connected_graph, random_observed
-
-
-def smoothed_sum(graph, values, config):
-    """Independent evaluation of the objective the gradient differentiates."""
-    s = second_derivative(graph, values)
-    s = s[~np.isnan(s)]
-    eps, p = config.smoothing_eps, config.p
-    return float(np.sum((s * s + eps * eps) ** (p / 2) - eps**p))
+from tests.conftest import analytic_gradient, graph_with_gaps, random_connected_graph, random_observed, smoothed_sum
 
 
 def dense_harmonic(graph, observed):
@@ -386,6 +379,23 @@ class TestPredictSfr:
         assert rec.estimates["v1"] == pytest.approx(2.0, abs=1e-2)
         assert rec.estimates["v26"] == pytest.approx(9.0, abs=1e-2)
         assert rec.diagnostics.source_count == 2
+
+    @pytest.mark.parametrize("eps", [1e-2, 1e-4])
+    def test_source_count_is_sources_above_the_smoothing_floor(self, eps):
+        # the objective treats a second derivative at or below its floor as flat, so the count uses that floor
+        graph, split = _ring_graph(120, 40, 0.55)
+        cfg = SolverConfig(bounds=(1.0, 5.0), smoothing_eps=eps)
+        counts = []
+        for observed in _bound_users(graph, split, 20):
+            rec = predict_sfr(graph, observed, graph.items, cfg)
+            # items without an estimate lie in components no observation reaches: zero there adds no source
+            full = np.zeros(graph.item_count)
+            for name, value in rec.estimates.items():
+                full[graph.item_index[name]] = value
+            s = second_derivative(graph, full)
+            assert rec.diagnostics.source_count == sources(s, cfg.smoothing_eps).size
+            counts.append(rec.diagnostics.source_count)
+        assert 0 < min(counts)
 
     def test_ladder_converges_at_the_defaults(self, ladder):
         # each smoothing stage stops on its own tolerance within its share of
@@ -968,7 +978,7 @@ class TestSecondDifferenceOperators:
             rows &= defined
             vec = np.where(rows, vec, 0.0)
             s = p_mat @ vec - vec
-            assert rec.diagnostics.source_count == int(np.sum(np.abs(s[rows]) > SOURCE_TOLERANCE))
+            assert rec.diagnostics.source_count == int(np.sum(np.abs(s[rows]) > cfg.smoothing_eps))
 
     @given(seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)

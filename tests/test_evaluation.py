@@ -281,6 +281,23 @@ class TestEvaluate:
         assert (user, item, method, is_fb) == ("u", "lone", "knn", "1")
         assert float(est) == pytest.approx(3.5)  # u's training mean
 
+    def test_user_without_training_ratings(self):
+        # "new" has no training map: no record of theirs can be classified, so knn
+        # falls back to the global training mean and hcp and sfr score nothing
+        graph = _line_graph(["x", "y", "z"])
+        train = _train([("u", "x", 3.0), ("u", "y", 4.0), ("w", "z", 1.0)])
+        test = [RatingRecord("new", "x", 5.0), RatingRecord("new", "z", 2.0)]
+        split = Split(train=train, test=test, fraction=0.8, seed=0)
+        dump = io.StringIO()
+        report = evaluate(["knn", "hcp", "sfr"], split, graph, SolverConfig(bounds=(1, 5)), predictions_out=dump)
+        assert report.class_counts["unclassifiable"] == report.n_classified == 2
+        assert report.fallback_counts == {"knn": 2, "hcp": 0, "sfr": 0}
+        lines = [line.split(",") for line in dump.getvalue().splitlines()]
+        assert [(user, item, method, is_fb) for user, item, _, method, is_fb in lines] == [
+            ("new", "x", "knn", "1"), ("new", "z", "knn", "1"),
+        ]
+        assert [float(est) for _, _, est, _, _ in lines] == [train.global_mean()] * 2
+
     def test_unknown_items_counted_and_excluded(self):
         graph = _line_graph(["x", "y"])
         train = _train([("u", "x", 3.0), ("u", "y", 3.0)])

@@ -12,6 +12,7 @@ from rategraph import graph as graph_module
 from rategraph import (
     ItemGraph,
     RatingMatrix,
+    SolverConfig,
     build_item_graph,
     second_derivative,
     serialize_graph,
@@ -230,7 +231,7 @@ class TestSecondDerivative:
         g = ItemGraph.from_edges(["a", "b", "c"], [("a", "b", 1.0)])
         second = second_derivative(g, np.array([1.0, 2.0, np.nan]))
         # a NaN is never a source, though both other values are
-        assert sorted(sources(second)) == [g.item_index["a"], g.item_index["b"]]
+        assert sorted(sources(second, SolverConfig.smoothing_eps)) == [g.item_index["a"], g.item_index["b"]]
         assert np.isnan(second[g.item_index["c"]])
 
     def test_nan_on_connected_item_rejected(self):
@@ -239,9 +240,14 @@ class TestSecondDerivative:
             second_derivative(g, np.array([1.0, np.nan]))
 
     def test_sources_exceed_the_tolerance_strictly(self):
-        # predict_sfr counts its sources with the same function
+        # predict_sfr counts its sources with the same function, at its smoothing floor
         second = np.array([1e-3, -1e-3, 1.001e-3, -1.001e-3, np.nan, 0.0])
-        assert sources(second).tolist() == [2, 3]
+        assert sources(second, 1e-3).tolist() == [2, 3]
+
+    @pytest.mark.parametrize("floor", [0.0, -1e-2, math.nan, math.inf])
+    def test_source_floor_must_be_positive_and_finite(self, floor):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sources(np.array([1.0, 0.0]), floor)
 
 
 def _read_tsv(text):
