@@ -211,7 +211,6 @@ class TestEvaluateCommand:
         assert (code, stdout, err) == (1, "", f"evaluate: error: {message}\n")
         assert not out.exists()
 
-
     @pytest.mark.parametrize("command", ["evaluate", "predict"])
     def test_toy_without_ground_truth_writes_nothing(self, tmp_path, capsys, command):
         # the square toy has no held-out ratings to score
