@@ -478,14 +478,16 @@ def _spg_stage(
     The stage is spectral projected gradient descent. Each step projects a
     gradient step of length alpha onto the rating box, d = clip(x - alpha g)
     - x over the free items, and halves lambda from 1 until the smoothed sum
-    at x + lambda d is below the current one. alpha is the Barzilai-Borwein
-    step s.s / s.y of the last accepted move s and its gradient change y,
-    clamped to [1e-10, 1e10]; it is 0.1 at the first step and whenever
-    s.y <= 0. A column stops when d is zero (a stationary point, which covers
-    a zero gradient), when the relative objective decrease falls under 1e-8,
-    when no lambda decreases the objective, or when its budget runs out,
-    which alone leaves it unconverged; the objective never rises across
-    accepted steps.
+    at x + lambda d is below the current one. alpha alternates the two
+    Barzilai-Borwein steps of the last accepted move s and its gradient
+    change y: s.s / s.y (BB1) after an odd iteration of the stage and
+    s.y / y.y (BB2) after an even one, which damps BB1's zig-zag (Dai &
+    Fletcher 2005). It is clamped to [1e-10, 1e10], and it is 0.1 at the
+    first step and whenever s.y <= 0. A column stops when d is zero (a
+    stationary point, which covers a zero gradient), when the relative
+    objective decrease falls under 1e-8, when no lambda decreases the
+    objective, or when its budget runs out, which alone leaves it
+    unconverged; the objective never rises across accepted steps.
 
     The stage evaluates and differentiates the whole block once, then each
     tick evaluates one trial per column with :func:`_smoothed_sums` and, once
@@ -560,9 +562,14 @@ def _spg_stage(
             g_new = _gradients(op_t, s, q, p)
             step, dg = trial - x, g_new - g
             for j in moved:
-                step_j = step.take(flat[j])
-                sy = step_j.dot(dg.take(flat[j]))
-                alpha[j] = min(max(step_j.dot(step_j) / sy, _MIN_STEP), _MAX_STEP) if sy > 0 else _INITIAL_STEP
+                step_j, dg_j = step.take(flat[j]), dg.take(flat[j])
+                sy = step_j.dot(dg_j)
+                if sy > 0:
+                    # BB1 after an odd iteration of the stage, BB2 after an even one
+                    bb = step_j.dot(step_j) / sy if iters[j] % 2 else sy / dg_j.dot(dg_j)
+                    alpha[j] = min(max(bb, _MIN_STEP), _MAX_STEP)
+                else:
+                    alpha[j] = _INITIAL_STEP
                 drop = obj[j] - totals[j]
                 obj[j] = totals[j]
                 if drop < _OBJECTIVE_REL_TOL * max(abs(obj[j]), 1e-300):
@@ -604,12 +611,12 @@ def predict_sfr(
     """Scalar function recovery: minimize the smoothed l_p norm of grad2 R.
 
     Starts from the harmonic solution, descends with spectral projected
-    gradient steps (Barzilai-Borwein step lengths; observed entries never
-    move, free entries stay inside the rating bounds), and anneals the
-    smoothing from one rating unit down to ``config.smoothing_eps``. If
-    descent somehow ends worse than the warm start at the target smoothing,
-    the warm start is returned, so the result never loses to harmonic
-    interpolation on the final objective.
+    gradient steps (alternating Barzilai-Borwein step lengths; observed
+    entries never move, free entries stay inside the rating bounds), and
+    anneals the smoothing from one rating unit down to
+    ``config.smoothing_eps``. If descent somehow ends worse than the warm
+    start at the target smoothing, the warm start is returned, so the result
+    never loses to harmonic interpolation on the final objective.
     Abstention rules are identical to :func:`predict_hcp`.
 
     The descent is :func:`_spg_block`, here on this user's start alone.

@@ -580,9 +580,11 @@ def _reference_spg_stage(x, free_idx, rows, p_mat, pt_mat, config, eps, budget, 
             return x, iters, True
         g_new = gradient(s)
         step = cand[free_idx] - x_free
-        sy = step @ (g_new - g)
+        y = g_new - g
+        sy = step @ y
         if sy > 0:
-            alpha = min(max(step @ step / sy, estimators._MIN_STEP), estimators._MAX_STEP)
+            bb = step @ step / sy if iters % 2 else sy / (y @ y)
+            alpha = min(max(bb, estimators._MIN_STEP), estimators._MAX_STEP)
         else:
             alpha = estimators._INITIAL_STEP
         drop = obj - obj_cand
