@@ -1,6 +1,6 @@
 """Choose sfr's smoothing floor, ``SolverConfig.smoothing_eps``, on held-out seeds.
 
-    PYTHONPATH=src python studies/smoothing_sweep.py           # the whole grid, about 15 CPU-minutes
+    PYTHONPATH=src python studies/smoothing_sweep.py           # the whole grid, about 10 CPU-minutes
     PYTHONPATH=src python studies/smoothing_sweep.py --quick   # one seed per shape, 1e-6 and the default
 
 The paper fixes the l_{1/2} norm; the floor eps of its smoothed surrogate is
